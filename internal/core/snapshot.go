@@ -24,10 +24,10 @@ func (t *TCP) Save(w *checkpoint.Writer) error {
 	w.U32(uint32(len(t.pht)))
 	for i := range t.pht {
 		e := &t.pht[i]
-		w.U64(e.tag)
+		w.U64(uint64(e.tag))
 		w.I64(e.used)
 		w.Bool(e.valid)
-		w.U64s(e.targets)
+		w.U64s(t.entryTargets(i))
 	}
 	for _, m := range t.ctr.metrics() {
 		w.U64(m.(*telemetry.Counter).Value())
@@ -64,13 +64,24 @@ func (t *TCP) Restore(r *checkpoint.Reader) error {
 	}
 	for i := range t.pht {
 		e := &t.pht[i]
-		e.tag = r.U64()
+		tag := r.U64()
 		e.used = r.I64()
 		e.valid = r.Bool()
-		e.targets = r.U64s()
-		if len(e.targets) > t.cfg.Targets {
-			return fmt.Errorf("tcp: PHT entry %d holds %d targets, max %d",
-				i, len(e.targets), t.cfg.Targets)
+		n := r.U32()
+		if tag > t.tagMask {
+			return fmt.Errorf("%w: tcp: PHT entry %d tag %#x wider than %d bits",
+				checkpoint.ErrCorrupt, i, tag, t.cfg.TagBits)
+		}
+		if n > uint32(t.cfg.Targets) {
+			return fmt.Errorf("%w: tcp: PHT entry %d holds %d targets, max %d",
+				checkpoint.ErrCorrupt, i, n, t.cfg.Targets)
+		}
+		e.tag, e.n = uint32(tag), uint16(n)
+		// Read the targets in place: a fresh slice per entry would be 2 M
+		// allocations for a TCP-8M image.
+		targets := t.entryTargets(i)
+		for j := range targets {
+			targets[j] = r.U64()
 		}
 	}
 	for _, m := range t.ctr.metrics() {

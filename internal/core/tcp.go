@@ -132,6 +132,7 @@ type TCP struct {
 	tht     [][]uint64 // [L1 sets][k] tag history, oldest first
 	thtFill []int      // valid tags per row
 	pht     []phtEntry // PHTSets * PHTWays
+	targets []uint64   // PHTSets * PHTWays * Targets: entry i's MRU list starts at i*Targets
 	clock   int64
 
 	// reqs is the scratch buffer OnMiss returns; per the Prefetcher
@@ -145,12 +146,19 @@ type TCP struct {
 	tr  *telemetry.Tracer //tcp:nosnap host-side observability wiring, outside the simulated state
 }
 
+// phtEntry is one PHT way. It holds no pointers, so the GC never scans
+// the table (TCP-8M's is 2 M entries), and it packs into 16 bytes, so an
+// 8-way set spans two cache lines. The entry's targets live in
+// TCP.targets.
 type phtEntry struct {
-	tag     uint64 // partial tag of the last tag in the indexing sequence
-	targets []uint64
-	used    int64
-	valid   bool
+	used  int64
+	tag   uint32 // partial tag of the last tag in the indexing sequence (TagBits <= 32)
+	n     uint16 // live targets, at most Targets
+	valid bool
 }
+
+// maxTargets is the most successor tags an entry can hold (phtEntry.n).
+const maxTargets = 1<<16 - 1
 
 // counters are the registry-backed predictor metrics; Stats() renders
 // them as the legacy struct view.
@@ -202,6 +210,9 @@ func New(cfg Config) *TCP {
 	if cfg.PHTSets&(cfg.PHTSets-1) != 0 {
 		panic(fmt.Sprintf("core: PHT sets %d not a power of two", cfg.PHTSets))
 	}
+	if cfg.Targets > maxTargets {
+		panic(fmt.Sprintf("core: %d targets per PHT entry exceeds %d", cfg.Targets, maxTargets))
+	}
 	t := &TCP{
 		cfg:     cfg,
 		tagMask: (1 << uint(cfg.TagBits)) - 1,
@@ -216,6 +227,7 @@ func New(cfg Config) *TCP {
 	}
 	t.thtFill = make([]int, cfg.L1.Sets())
 	t.pht = make([]phtEntry, cfg.PHTSets*cfg.PHTWays)
+	t.targets = make([]uint64, len(t.pht)*cfg.Targets)
 	t.ctr = newCounters()
 	t.tr = telemetry.Nop()
 	return t
@@ -276,22 +288,23 @@ func (t *TCP) phtIndex(seq []uint64, missIndex uint32) uint64 {
 	return ((hi << uint(t.cfg.IndexBits)) | lo) & t.setMask
 }
 
-// phtProbe returns the matching entry in the set, or nil.
-func (t *TCP) phtProbe(setIdx uint64, lastTag uint64) *phtEntry {
+// phtProbe returns the index of the matching entry in the set, or -1.
+func (t *TCP) phtProbe(setIdx uint64, lastTag uint64) int {
 	base := int(setIdx) * t.cfg.PHTWays
 	set := t.pht[base : base+t.cfg.PHTWays]
-	key := lastTag & t.tagMask
+	key := uint32(lastTag & t.tagMask)
 	for i := range set {
 		if set[i].valid && set[i].tag == key {
-			return &set[i]
+			return base + i
 		}
 	}
-	return nil
+	return -1
 }
 
-// phtAllocate returns the matching entry, allocating (LRU victim) if absent.
-func (t *TCP) phtAllocate(setIdx uint64, lastTag uint64) *phtEntry {
-	if e := t.phtProbe(setIdx, lastTag); e != nil {
+// phtAllocate returns the index of the matching entry, allocating (LRU
+// victim) if absent.
+func (t *TCP) phtAllocate(setIdx uint64, lastTag uint64) int {
+	if e := t.phtProbe(setIdx, lastTag); e >= 0 {
 		return e
 	}
 	base := int(setIdx) * t.cfg.PHTWays
@@ -312,16 +325,16 @@ func (t *TCP) phtAllocate(setIdx uint64, lastTag uint64) *phtEntry {
 		// small PHT across sets (Figures 11-13).
 		t.ctr.evictions.Inc()
 		t.tr.Emit(telemetry.Event{Cycle: t.clock, Type: "pht.evict",
-			Level: telemetry.LevelDebug, Addr: set[victim].tag, Value: int64(setIdx)})
+			Level: telemetry.LevelDebug, Addr: uint64(set[victim].tag), Value: int64(setIdx)})
 	}
-	// Reinitialise in place, keeping the targets backing array so retraining
-	// the recycled entry does not reallocate.
-	v := &set[victim]
-	v.tag = lastTag & t.tagMask
-	v.valid = true
-	v.used = 0
-	v.targets = v.targets[:0]
-	return v
+	set[victim] = phtEntry{tag: uint32(lastTag & t.tagMask), valid: true}
+	return base + victim
+}
+
+// entryTargets returns entry e's live targets, MRU first.
+func (t *TCP) entryTargets(e int) []uint64 {
+	base := e * t.cfg.Targets
+	return t.targets[base : base+int(t.pht[e].n)]
 }
 
 // OnMiss implements prefetch.Prefetcher: the update and lookup operations
@@ -336,7 +349,7 @@ func (t *TCP) OnMiss(m trace.Miss) []prefetch.Request {
 	if t.thtFill[m.Index] == k {
 		setIdx := t.phtIndex(row, m.Index)
 		e := t.phtAllocate(setIdx, row[k-1])
-		e.used = t.clock
+		t.pht[e].used = t.clock
 		t.train(e, m.Tag)
 		t.ctr.updates.Inc()
 	}
@@ -357,10 +370,10 @@ func (t *TCP) OnMiss(m trace.Miss) []prefetch.Request {
 	t.ctr.lookups.Inc()
 	reqs := t.reqs[:0]
 	setIdx := t.phtIndex(row, m.Index)
-	if e := t.phtProbe(setIdx, m.Tag); e != nil && len(e.targets) > 0 {
-		e.used = t.clock
+	if e := t.phtProbe(setIdx, m.Tag); e >= 0 && t.pht[e].n > 0 {
+		t.pht[e].used = t.clock
 		t.ctr.hits.Inc()
-		for _, tg := range e.targets {
+		for _, tg := range t.entryTargets(e) {
 			a := t.cfg.L1.Compose(tg, m.Index)
 			if t.cfg.L1.Block(m.Addr) == a {
 				continue // predicting the line that just missed is useless
@@ -425,21 +438,23 @@ func hasTarget(reqs []prefetch.Request, a addr.Addr) bool {
 // reconstructed exactly; the TagBits truncation applies to matching and to
 // the storage accounting, mirroring how a real implementation would store
 // only the bits needed to rebuild an address within the reachable region.
-func (t *TCP) train(e *phtEntry, successor uint64) {
+func (t *TCP) train(e int, successor uint64) {
 	// MRU-move in place: [successor] followed by the remaining targets in
-	// their previous order, capped at Targets, without reallocating.
-	for i, s := range e.targets {
+	// their previous order, capped at Targets.
+	targets := t.entryTargets(e)
+	for i, s := range targets {
 		if s == successor {
-			copy(e.targets[1:i+1], e.targets[:i])
-			e.targets[0] = successor
+			copy(targets[1:i+1], targets[:i])
+			targets[0] = successor
 			return
 		}
 	}
-	if len(e.targets) < t.cfg.Targets {
-		e.targets = append(e.targets, 0)
+	if len(targets) < t.cfg.Targets {
+		t.pht[e].n++
+		targets = targets[:len(targets)+1]
 	}
-	copy(e.targets[1:], e.targets)
-	e.targets[0] = successor
+	copy(targets[1:], targets)
+	targets[0] = successor
 }
 
 // OnAccess implements prefetch.Prefetcher (TCP only observes misses).
@@ -485,9 +500,8 @@ func (t *TCP) Reset() {
 	for i := range t.thtFill {
 		t.thtFill[i] = 0
 	}
-	for i := range t.pht {
-		t.pht[i] = phtEntry{}
-	}
+	clear(t.pht)
+	clear(t.targets)
 	t.clock = 0
 	for _, m := range t.ctr.metrics() {
 		m.(*telemetry.Counter).Store(0)

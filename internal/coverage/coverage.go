@@ -46,6 +46,7 @@ type Evaluator struct {
 	pending map[uint64]uint64 // blockID -> sequence number of prediction
 	seq     uint64
 	res     Result
+	reqs    []prefetch.Request // one miss's requests, gathered by Observe
 }
 
 // New creates an evaluator with the given lookahead window (number of
@@ -81,9 +82,11 @@ func (e *Evaluator) Observe(m trace.Miss) {
 	// access-triggered schemes like DBCP predict from OnAccess. Hit
 	// accesses are not in the trace, so signature-based schemes see a
 	// misses-only approximation of their access stream.
-	reqs := e.pf.OnMiss(m)
-	reqs = append(reqs, e.pf.OnAccess(m.Addr, m.PC, m.Cycle, false)...)
-	for _, r := range reqs {
+	// Both results may alias the prefetcher's scratch array, which the
+	// second call may reuse, so each is copied out before the next call.
+	e.reqs = append(e.reqs[:0], e.pf.OnMiss(m)...)
+	e.reqs = append(e.reqs, e.pf.OnAccess(m.Addr, m.PC, m.Cycle, false)...)
+	for _, r := range e.reqs {
 		e.res.Predictions++
 		pid := e.geom.BlockID(r.Addr)
 		if _, dup := e.pending[pid]; !dup {

@@ -136,21 +136,22 @@ type fuPool struct {
 func newPool(n int) *fuPool { return &fuPool{freeAt: make([]int64, n)} }
 
 // issue returns the earliest cycle >= ready at which a unit accepts the op,
-// and books the unit.
+// and books the unit: the lowest-index unit among those free earliest.
+// The minimum scan is branch-free: unit free times are small non-negative
+// cycles, so the sign of their difference is the comparison, and a mask
+// built from it selects the running minimum without a mispredictable jump.
 //
 //tcp:hotpath — every instruction books a functional unit.
 func (p *fuPool) issue(ready int64) int64 {
-	best := 0
-	for i := 1; i < len(p.freeAt); i++ {
-		if p.freeAt[i] < p.freeAt[best] {
-			best = i
-		}
+	f := p.freeAt
+	best, min := 0, f[0]
+	for i := 1; i < len(f); i++ {
+		lt := (f[i] - min) >> 63 // -1 when f[i] < min, else 0
+		min += (f[i] - min) & lt
+		best ^= (best ^ i) & int(lt)
 	}
-	at := ready
-	if p.freeAt[best] > at {
-		at = p.freeAt[best]
-	}
-	p.freeAt[best] = at + 1
+	at := max(ready, min)
+	f[best] = at + 1
 	return at
 }
 
@@ -281,6 +282,15 @@ type pipeline struct {
 	memCommit []int64
 	memCount  int
 
+	// Ring cursors: ruuPos is the next instruction's slot in doneAt and
+	// commitAt (done mod RUUSize), lsqPos the next memory op's slot in
+	// memCommit (memCount mod LSQSize). They replace a division by the
+	// ring size per access, for any size. syncRings derives them from
+	// the counters on every AdvanceTo entry, so reset, SealFastForward,
+	// Restore and the skip engine never leave them stale.
+	ruuPos int //tcp:nosnap derived from done by syncRings
+	lsqPos int //tcp:nosnap derived from memCount by syncRings
+
 	intALU, intMul, fpALU, fpMul, memPort *fuPool
 
 	dispatchCycle int64 // cycle currently receiving dispatches
@@ -323,6 +333,7 @@ func newPipeline(cfg Config, mem Memory, pred branch.Predictor) *pipeline {
 //tcp:hotpath — runs once per simulated instruction; tcplint's hotalloc
 func (p *pipeline) step(i uint64, inst *workload.Inst, res *Result) {
 	cfg := &p.cfg
+	pos := p.ruuPos
 
 	// --- dispatch ---
 	d := p.dispatchCycle
@@ -331,14 +342,14 @@ func (p *pipeline) step(i uint64, inst *workload.Inst, res *Result) {
 		res.FetchRedirectStall++
 	}
 	if i >= uint64(cfg.RUUSize) {
-		if w := p.commitAt[i%uint64(cfg.RUUSize)]; w > d {
+		if w := p.commitAt[pos]; w > d {
 			d = w
 			res.DispatchStallRUU++
 		}
 	}
 	isMem := inst.Class.IsMem()
 	if isMem && p.memCount >= cfg.LSQSize {
-		if w := p.memCommit[p.memCount%cfg.LSQSize]; w > d {
+		if w := p.memCommit[p.lsqPos]; w > d {
 			d = w
 			res.DispatchStallLSQ++
 		}
@@ -361,7 +372,9 @@ func (p *pipeline) step(i uint64, inst *workload.Inst, res *Result) {
 			continue
 		}
 		if dep <= int32(cfg.RUUSize) {
-			if w := p.doneAt[(i-uint64(dep))%uint64(cfg.RUUSize)]; w > ready {
+			at := pos - int(dep)
+			at += cfg.RUUSize & (at >> 63) // wrap without a branch
+			if w := p.doneAt[at]; w > ready {
 				ready = w
 			}
 		}
@@ -406,7 +419,7 @@ func (p *pipeline) step(i uint64, inst *workload.Inst, res *Result) {
 	default:
 		done = p.intALU.issue(ready) + latIntALU
 	}
-	p.doneAt[i%uint64(cfg.RUUSize)] = done
+	p.doneAt[pos] = done
 
 	// --- in-order commit, IssueWidth per cycle ---
 	cm := done
@@ -431,11 +444,25 @@ func (p *pipeline) step(i uint64, inst *workload.Inst, res *Result) {
 	cm = p.commitCycle
 	p.commitSlots++
 	p.lastCommit = cm
-	p.commitAt[i%uint64(cfg.RUUSize)] = cm
-	if isMem {
-		p.memCommit[p.memCount%cfg.LSQSize] = cm
-		p.memCount++
+	p.commitAt[pos] = cm
+	if pos++; pos == cfg.RUUSize {
+		pos = 0
 	}
+	p.ruuPos = pos
+	if isMem {
+		p.memCommit[p.lsqPos] = cm
+		p.memCount++
+		if p.lsqPos++; p.lsqPos == cfg.LSQSize {
+			p.lsqPos = 0
+		}
+	}
+}
+
+// syncRings derives the ring cursors from the instruction and memory-op
+// counts; see pipeline.ruuPos.
+func (p *pipeline) syncRings(done uint64) {
+	p.ruuPos = int(done % uint64(p.cfg.RUUSize))
+	p.lsqPos = p.memCount % p.cfg.LSQSize
 }
 
 // Done returns the number of dynamic instructions processed since reset.
@@ -466,6 +493,7 @@ func (c *Core) AdvanceTo(gen workload.Generator, target uint64) {
 		c.advanceToSkip(gen, target)
 		return
 	}
+	c.p.syncRings(c.done)
 	var inst workload.Inst
 	for c.done < target {
 		i := c.done

@@ -65,8 +65,16 @@ type DBCP struct {
 	setMask uint64 //tcp:nosnap geometry derived from cfg at construction
 
 	shadow []shadowEntry // one per L1 set (direct-mapped)
-	table  []corrEntry
+	keys   []uint64      // table entries' keys, set-major: one cache line per 8-way set
+	table  []corrEntry   // the rest of each entry, same order
 	clock  int64
+
+	// reqs is the scratch buffer OnAccess returns; per the Prefetcher
+	// contract the slice is only valid until the next call, so reusing the
+	// backing array keeps every prediction allocation-free.
+	//
+	//tcp:nosnap scratch buffer, dead between OnAccess calls by the Prefetcher contract
+	reqs []prefetch.Request
 
 	stats Stats
 }
@@ -77,8 +85,10 @@ type shadowEntry struct {
 	valid bool
 }
 
+// corrEntry is a correlation-table entry minus its key: the full
+// (block, signature) key for exact matching sits in DBCP.keys, apart from
+// the rest, because every L1 access probes a set but few hit.
 type corrEntry struct {
-	key    uint64 // full (block, signature) key for exact matching
 	target addr.Addr
 	used   int64
 	valid  bool
@@ -108,7 +118,9 @@ func New(cfg Config) *DBCP {
 		sigMask: (1 << uint(cfg.SigBits)) - 1,
 		setMask: uint64(sets - 1),
 		shadow:  make([]shadowEntry, cfg.L1.Sets()),
+		keys:    make([]uint64, sets*cfg.Ways),
 		table:   make([]corrEntry, sets*cfg.Ways),
+		reqs:    make([]prefetch.Request, 1),
 	}
 }
 
@@ -131,12 +143,14 @@ func (d *DBCP) index(key uint64) uint64 {
 	return h & d.setMask
 }
 
+// probe returns the table entry holding key, or nil. It compares keys
+// first, so a miss reads only the set's keys.
 func (d *DBCP) probe(key uint64) *corrEntry {
 	base := int(d.index(key)) * d.cfg.Ways
-	set := d.table[base : base+d.cfg.Ways]
-	for i := range set {
-		if set[i].valid && set[i].key == key {
-			return &set[i]
+	keys := d.keys[base : base+d.cfg.Ways]
+	for i := range keys {
+		if keys[i] == key && d.table[base+i].valid {
+			return &d.table[base+i]
 		}
 	}
 	return nil
@@ -158,7 +172,8 @@ func (d *DBCP) allocate(key uint64) *corrEntry {
 			victim = i
 		}
 	}
-	set[victim] = corrEntry{key: key, valid: true}
+	d.keys[base+victim] = key
+	set[victim] = corrEntry{valid: true}
 	return &set[victim]
 }
 
@@ -181,6 +196,8 @@ func (d *DBCP) OnMiss(m trace.Miss) []prefetch.Request {
 
 // OnAccess implements prefetch.Prefetcher: extend the resident block's PC
 // trace and predict death on a signature match.
+//
+//tcp:hotpath — every L1 access trains the signature and probes the table.
 func (d *DBCP) OnAccess(a, pc addr.Addr, cycle int64, hit bool) []prefetch.Request {
 	d.stats.Accesses++
 	idx := d.cfg.L1.Index(a)
@@ -203,7 +220,8 @@ func (d *DBCP) OnAccess(a, pc addr.Addr, cycle int64, hit bool) []prefetch.Reque
 		return nil
 	}
 	d.stats.Predictions++
-	return []prefetch.Request{{Addr: e.target}}
+	d.reqs[0] = prefetch.Request{Addr: e.target}
+	return d.reqs
 }
 
 // OnEvict implements prefetch.Prefetcher. The shadow directory already
@@ -225,9 +243,8 @@ func (d *DBCP) Reset() {
 	for i := range d.shadow {
 		d.shadow[i] = shadowEntry{}
 	}
-	for i := range d.table {
-		d.table[i] = corrEntry{}
-	}
+	clear(d.keys)
+	clear(d.table)
 	d.clock = 0
 	d.stats = Stats{}
 }

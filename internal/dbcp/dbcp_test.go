@@ -148,3 +148,28 @@ func TestOnEvictNoOp(t *testing.T) {
 	d := New(Config{L1: l1(), TableEntries: 1024, Ways: 8})
 	d.OnEvict(0x1000, 0, 0, 0) // must not panic
 }
+
+// TestPredictionDoesNotAllocate: a death prediction is returned in the
+// predictor's scratch slice, so even a predicting access allocates
+// nothing.
+func TestPredictionDoesNotAllocate(t *testing.T) {
+	g := l1()
+	d := New(Config{L1: g, TableEntries: 4096, Ways: 8})
+	pcs := []addr.Addr{0x400100, 0x400104}
+	a, b := g.Compose(10, 7), g.Compose(20, 7)
+	driveBlockLife(d, g, a, b, pcs)
+	var reqs []prefetch.Request
+	allocs := testing.AllocsPerRun(100, func() {
+		d.OnMiss(trace.MakeMiss(g, a, pcs[0], 0, false))
+		for _, pc := range pcs {
+			reqs = d.OnAccess(a, pc, 0, true)
+		}
+		d.OnMiss(trace.MakeMiss(g, b, 0, 0, false))
+	})
+	if len(reqs) != 1 || reqs[0].Addr != b {
+		t.Fatalf("prediction = %+v, want %#x", reqs, b)
+	}
+	if allocs != 0 {
+		t.Errorf("%v allocations per block lifetime, want 0", allocs)
+	}
+}

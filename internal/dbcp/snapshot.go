@@ -22,7 +22,7 @@ func (d *DBCP) Save(w *checkpoint.Writer) error {
 	w.U32(uint32(len(d.table)))
 	for i := range d.table {
 		e := &d.table[i]
-		w.U64(e.key)
+		w.U64(d.keys[i])
 		w.U64(uint64(e.target))
 		w.I64(e.used)
 		w.Bool(e.valid)
@@ -61,7 +61,7 @@ func (d *DBCP) Restore(r *checkpoint.Reader) error {
 	}
 	for i := range d.table {
 		e := &d.table[i]
-		e.key = r.U64()
+		d.keys[i] = r.U64()
 		e.target = addr.Addr(r.U64())
 		e.used = r.I64()
 		e.valid = r.Bool()

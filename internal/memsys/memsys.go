@@ -205,6 +205,13 @@ type MemSys struct {
 	pfNoop bool //tcp:nosnap host-side engine selection, like MSHRFile.fastOn
 	dbp  *deadblock.Predictor // nil unless hybrid promotion is enabled
 
+	// pfReqs gathers a demand miss's OnMiss and OnAccess requests. Both
+	// results may alias the prefetcher's own scratch array, which the
+	// second call is free to reuse, so they are copied out here in turn.
+	//
+	//tcp:nosnap scratch buffer, dead between misses
+	pfReqs []prefetch.Request
+
 	ctr counters
 	tr  *telemetry.Tracer //tcp:nosnap host-side observability wiring, outside the simulated state
 }
@@ -317,10 +324,9 @@ func (m *MemSys) Access(a, pc addr.Addr, write bool, now int64) int64 {
 // miss handles an L1 demand miss: MSHR merge/stall, the L2/memory walk,
 // the L1 fill with write-allocate, and prefetcher training. It is split
 // from Access so the hit path stays on the allocation-free fast path (the
-// miss path allocates by design: prefetcher request batches are
-// miss-local slices).
+// miss path is not held to the zero-allocation rule).
 //
-//tcp:coldpath per-miss path, not per-cycle; merging the prefetcher's request batches may grow a miss-local slice bounded by the prefetch degree
+//tcp:coldpath per-miss path, not per-cycle; gathering the prefetcher's request batches grows the pfReqs scratch up to the largest batch seen
 func (m *MemSys) miss(a, pc addr.Addr, write bool, now int64) int64 {
 	// Merge with an in-flight fill of the same block. Entries are retired
 	// lazily: a completed entry found here is dropped instead of merged.
@@ -360,9 +366,9 @@ func (m *MemSys) miss(a, pc addr.Addr, write bool, now int64) int64 {
 
 	if !m.pfNoop {
 		miss := trace.MakeMiss(m.cfg.L1D, a, pc, start, write)
-		reqs := m.pf.OnMiss(miss)
-		reqs = append(reqs, m.pf.OnAccess(a, pc, start, false)...)
-		m.issue(reqs, start)
+		m.pfReqs = append(m.pfReqs[:0], m.pf.OnMiss(miss)...)
+		m.pfReqs = append(m.pfReqs, m.pf.OnAccess(a, pc, start, false)...)
+		m.issue(m.pfReqs, start)
 	}
 
 	return readyAt

@@ -433,3 +433,46 @@ func TestNextEvent(t *testing.T) {
 		t.Errorf("drained MSHR NextEvent = %d, want 0", e)
 	}
 }
+
+// scratchStub answers OnMiss and OnAccess from one reused scratch array,
+// as the Prefetcher contract allows: each result is valid only until the
+// next call.
+type scratchStub struct {
+	g       addr.Geometry
+	scratch []prefetch.Request
+}
+
+func (s *scratchStub) Name() string { return "scratchstub" }
+func (s *scratchStub) OnMiss(m trace.Miss) []prefetch.Request {
+	s.scratch[0] = prefetch.Request{Addr: s.g.Compose(m.Tag+1, m.Index)}
+	return s.scratch[:1]
+}
+func (s *scratchStub) OnAccess(a, _ addr.Addr, _ int64, hit bool) []prefetch.Request {
+	if hit {
+		return nil
+	}
+	s.scratch[0] = prefetch.Request{Addr: s.g.Compose(s.g.Tag(a)+2, s.g.Index(a))}
+	return s.scratch[:1]
+}
+func (s *scratchStub) OnEvict(addr.Addr, int64, int64, int64) {}
+func (s *scratchStub) StorageBits() uint64                    { return 0 }
+func (s *scratchStub) Reset()                                 {}
+
+// TestMissGathersAliasedBatches: a demand miss issues OnMiss's requests
+// and then OnAccess's, even when the prefetcher returns both from the same
+// scratch array, so the second call overwrites the first result.
+func TestMissGathersAliasedBatches(t *testing.T) {
+	g := DefaultConfig().L1D
+	pf := &scratchStub{g: g, scratch: make([]prefetch.Request, 1)}
+	m := newSys(pf)
+	a := g.Compose(5, 9)
+	m.Access(a, 0x400000, false, 0)
+	if s := m.Stats(); s.PrefetchIssued != 2 || s.PrefetchDropped != 0 {
+		t.Fatalf("issued %d, dropped %d; want 2 distinct prefetches", s.PrefetchIssued, s.PrefetchDropped)
+	}
+	for _, tag := range []uint64{6, 7} {
+		if b := g.Compose(tag, 9); !m.L2().Probe(DefaultConfig().L2.Block(b)) {
+			t.Errorf("prefetch of tag %d missing from L2", tag)
+		}
+	}
+}

@@ -141,6 +141,9 @@ func New(spec Spec, seed uint64) Generator {
 		panic("workload: spec needs MemFrac > 0")
 	}
 	s := &synth{spec: withDefaults(spec)}
+	s.predictable = xrand.NewProb(s.spec.BranchPredictability)
+	s.loadUse = xrand.NewProb(s.spec.LoadUseProb)
+	s.dep = xrand.NewProb(s.spec.DepProb)
 	s.Reset(seed)
 	return s
 }
@@ -204,7 +207,15 @@ type synth struct {
 	icount   uint64 // dynamic instructions emitted
 	lastLoad uint64 // icount of the most recent load (0 = none yet)
 	lastOf   []uint64
+
+	// The spec's probabilities as xrand.Draw thresholds.
+	predictable xrand.Prob //tcp:nosnap derived from spec at construction
+	loadUse     xrand.Prob //tcp:nosnap derived from spec at construction
+	dep         xrand.Prob //tcp:nosnap derived from spec at construction
 }
+
+// coinFlip is the unpatterned branch direction's probability.
+var coinFlip = xrand.NewProb(0.5)
 
 // Name implements Generator.
 func (s *synth) Name() string { return s.spec.Name }
@@ -418,23 +429,23 @@ func (s *synth) Next(inst *Inst) {
 		} else {
 			bp.count++
 			patterned := bp.count%bp.period != 0
-			if s.rng.Bool(s.spec.BranchPredictability) {
+			if s.rng.Draw(s.predictable) {
 				inst.Taken = patterned
 			} else {
-				inst.Taken = s.rng.Bool(0.5)
+				inst.Taken = s.rng.Draw(coinFlip)
 			}
 		}
-		if s.lastLoad != 0 && s.rng.Bool(s.spec.LoadUseProb) {
+		if s.lastLoad != 0 && s.rng.Draw(s.loadUse) {
 			inst.Dep1 = dist(s.icount, s.lastLoad)
 		}
 	default: // compute
-		if s.rng.Bool(s.spec.DepProb) {
+		if s.rng.Draw(s.dep) {
 			back := 1 + s.rng.Intn(4)
 			if uint64(back) < s.icount {
 				inst.Dep1 = int32(back)
 			}
 		}
-		if s.lastLoad != 0 && s.rng.Bool(s.spec.LoadUseProb) {
+		if s.lastLoad != 0 && s.rng.Draw(s.loadUse) {
 			inst.Dep2 = dist(s.icount, s.lastLoad)
 		}
 	}

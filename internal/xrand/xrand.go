@@ -4,6 +4,8 @@
 // do not use math/rand's global state anywhere in the simulator.
 package xrand
 
+import "math"
+
 // Rand is a xorshift64* generator. The zero value is valid (it is reseeded
 // to a fixed non-zero constant).
 type Rand struct {
@@ -73,6 +75,47 @@ func (r *Rand) Bool(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
+}
+
+// Prob is a probability precomputed for Draw: Draw(NewProb(p)) returns
+// exactly what Bool(p) returns and consumes exactly the same random bits,
+// with an integer compare in place of Bool's float conversion and compare.
+//
+// Bool(p) draws u and tests (u>>11)/2^53 < p. Both sides are exact in
+// float64, so the test is x < p*2^53 over the integer x = u>>11, which is
+// x < ceil(p*2^53): the threshold stored here. Scaling by a power of two
+// and rounding up to an integer are exact too.
+type Prob struct {
+	// t is the threshold when t >= 0. It is probNever for p <= 0 and
+	// probAlways for p >= 1, where Bool draws nothing. A NaN p draws and
+	// never succeeds, as Bool does: t = 0.
+	t int64
+}
+
+const (
+	probNever  = -1
+	probAlways = -2
+)
+
+// NewProb precomputes p for Draw.
+func NewProb(p float64) Prob {
+	switch {
+	case p <= 0:
+		return Prob{t: probNever}
+	case p >= 1:
+		return Prob{t: probAlways}
+	case p != p: // NaN
+		return Prob{}
+	}
+	return Prob{t: int64(math.Ceil(p * (1 << 53)))}
+}
+
+// Draw returns true with probability p; see Prob.
+func (r *Rand) Draw(p Prob) bool {
+	if p.t < 0 {
+		return p.t == probAlways
+	}
+	return int64(r.Uint64()>>11) < p.t
 }
 
 // Perm returns a pseudo-random permutation of [0, n).
