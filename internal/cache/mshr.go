@@ -1,6 +1,10 @@
 package cache
 
-import "tagprefetch/internal/addr"
+import (
+	"math/bits"
+
+	"tagprefetch/internal/addr"
+)
 
 // MSHRFile models the miss status holding registers of the L1 data cache
 // (Table 1: 64 MSHRs). Each entry tracks one in-flight block fill; misses to
@@ -8,44 +12,34 @@ import "tagprefetch/internal/addr"
 // issuing a second request. When the file is full, further misses must stall
 // until an entry retires.
 //
-// Alongside the lookup map the file keeps a min-heap of (block, ReadyAt)
-// pairs, so the full-file stall path (EarliestReady + ReleaseBefore) costs
-// O(log n) instead of two map scans. The heap is lazily pruned: Remove
-// leaves its pair behind as a tombstone, dropped when it surfaces at the
-// top or during a periodic compaction. A pair is live iff the map still
-// holds its block with the same ReadyAt — ReadyAt never changes between
-// Allocate and retirement except under Quiesce, which rebuilds the heap,
-// so the pair identifies one allocation generation.
+// Entries live in a fixed pool of frames. A chained hash index maps block
+// IDs to frames: lookups hash the block ID and walk a short chain (under
+// one entry on average) through the pool. Completion times are kept in a
+// ready queue of (ReadyAt, frame, generation) pairs sorted by ReadyAt. Fills
+// complete roughly in allocation order, so Allocate inserts from the tail
+// in a step or two, and the full-file stall path (EarliestReady,
+// ReleaseBefore) reads and pops the head. Retirement is lazy: a stall
+// retires every completed entry at once.
 //
-// While the skip engine's fast index is on (fastOn), the same slice is
-// kept as an unsorted bag instead: Allocate appends in O(1) with no
-// sift-up, and the stall path recovers order with one linear sweep.
-// Retirement is lazy, so sweeps are rare — the file fills with mostly
-// completed entries before a stall flushes them in bulk — and the sweep
-// retires exactly the set the heap would ({live pairs with readyAt <=
-// now}, which a min-heap surfaces in full before any later pair), so the
-// engines agree on every observable. Only pool-frame recycling order
-// differs, and frames are never serialised (Save sorts by block ID).
+// Every placement into a frame takes a fresh generation number, and a pair
+// is live iff its frame is occupied under the pair's generation, so each
+// in-flight entry has exactly one live pair. Remove leaves its pair in the
+// queue as a tombstone, popped when it reaches the head or dropped when
+// the queue runs out of room and is compacted. Pool frames and generations
+// are never serialised (Save writes entries in block-ID order), so the
+// order in which frames are recycled is not observable.
 type MSHRFile struct {
-	capacity int              //tcp:nosnap geometry fixed at construction; Restore validates the decoded entry count against it
-	pending  map[uint64]*MSHR // keyed by block ID, pointing into pool
-	pool     []MSHR           // backing store rebuilt by Restore from the decoded entry list
-	free     []int32          // rebuilt by Restore from the decoded entry list
-	ready    []mshrReady      //tcp:nosnap ready index rebuilt by Restore from the decoded entry list
-	count    int              // in-flight tally mirroring the entry set, rebuilt with it
-
-	// Fast index (measured-phase skip engine, docs/FASTFORWARD.md): a
-	// chained block→pool-frame table that replaces the pending map while
-	// fastOn. Lookups hash the block ID and walk a (sub-1 average length)
-	// chain through the fixed pool instead of the runtime map — the same
-	// entries, the same alloc/free order, just a cheaper index. The map is
-	// parked (nil) while the index is on so any unported access fails loud;
-	// Reset and Restore drop back to the map and the index is rebuilt on
-	// the next enable.
-	fastOn    bool    // derived lookup-structure mode; Restore drops back to the map
-	fastHeads []int32 // derived chain heads, rebuilt by EnableFastIndex
-	fastNext  []int32 // derived chain links indexed by pool frame
-	fastShift uint    // derived table geometry
+	capacity int         //tcp:nosnap geometry fixed at construction; Restore validates the decoded entry count against it
+	pool     []MSHR      // backing store rebuilt by Restore from the decoded entry list
+	free     []int32     //tcp:nosnap free frames, rebuilt by Restore from the decoded entry list
+	heads    []int32     //tcp:nosnap chain head frame per bucket (-1: empty), rebuilt by Restore
+	next     []int32     //tcp:nosnap chain link per pool frame, rebuilt by Restore
+	shift    uint        //tcp:nosnap bucket-table geometry fixed at construction
+	ready    []mshrReady //tcp:nosnap ready queue storage, twice the capacity; Restore rebuilds the queue from the decoded entry list
+	head     int         //tcp:nosnap the queue is ready[head:tail], rebuilt by Restore
+	tail     int         //tcp:nosnap see head
+	count    int         // in-flight tally mirroring the entry set, rebuilt with it
+	gen      uint32      //tcp:nosnap placement counter; generations only need to differ while a pair is queued
 
 	merges    uint64
 	allocs    uint64
@@ -61,13 +55,16 @@ type MSHR struct {
 	Demands  int    // number of demand accesses merged into this miss
 	Prefetch bool   // initiated by a prefetch (no demand yet)
 
-	slot int32 // pool frame index
+	slot int32  // pool frame index while in flight, -1 while the frame is free
+	gen  uint32 // generation of the placement into the frame
 }
 
-// mshrReady is one heap pair; see the MSHRFile doc for the staleness rule.
+// mshrReady is one ready-queue pair; see the MSHRFile doc for the
+// staleness rule.
 type mshrReady struct {
-	block   uint64
 	readyAt int64
+	slot    int32
+	gen     uint32
 }
 
 // NewMSHRFile creates a file with the given capacity (must be positive).
@@ -75,23 +72,36 @@ func NewMSHRFile(capacity int) *MSHRFile {
 	if capacity <= 0 {
 		capacity = 1
 	}
+	buckets := 8
+	for buckets < 4*capacity {
+		buckets *= 2
+	}
 	f := &MSHRFile{
 		capacity: capacity,
-		pending:  make(map[uint64]*MSHR, capacity),
 		pool:     make([]MSHR, capacity),
 		free:     make([]int32, 0, capacity),
-		ready:    make([]mshrReady, 0, 2*capacity),
+		heads:    make([]int32, buckets),
+		next:     make([]int32, capacity),
+		shift:    uint(64 - bits.TrailingZeros(uint(buckets))),
+		ready:    make([]mshrReady, 2*capacity),
 	}
-	f.refillFree()
+	f.clear()
 	return f
 }
 
-// refillFree marks every pool frame unoccupied.
-func (f *MSHRFile) refillFree() {
+// clear empties the file in place: every pool frame free, every chain and
+// the ready queue empty. Counters are untouched.
+func (f *MSHRFile) clear() {
 	f.free = f.free[:0]
 	for i := f.capacity - 1; i >= 0; i-- {
 		f.free = append(f.free, int32(i))
+		f.pool[i].slot = -1
 	}
+	for i := range f.heads {
+		f.heads[i] = -1
+	}
+	f.head, f.tail = 0, 0
+	f.count = 0
 }
 
 // Capacity returns the number of entries.
@@ -100,13 +110,15 @@ func (f *MSHRFile) Capacity() int { return f.capacity }
 // InFlight returns the number of occupied entries.
 func (f *MSHRFile) InFlight() int { return f.count }
 
-// get returns the in-flight entry for block id, dispatching on the active
-// lookup structure, or nil.
+// bucket hashes a block ID into the chain table (Fibonacci hashing on a
+// power-of-two table).
+func (f *MSHRFile) bucket(id uint64) uint64 {
+	return (id * 0x9E3779B97F4A7C15) >> f.shift
+}
+
+// get returns the in-flight entry for block id, or nil.
 func (f *MSHRFile) get(id uint64) *MSHR {
-	if !f.fastOn {
-		return f.pending[id]
-	}
-	for s := f.fastHeads[f.fastBucket(id)]; s >= 0; s = f.fastNext[s] {
+	for s := f.heads[f.bucket(id)]; s >= 0; s = f.next[s] {
 		if f.pool[s].Block == id {
 			return &f.pool[s]
 		}
@@ -114,112 +126,41 @@ func (f *MSHRFile) get(id uint64) *MSHR {
 	return nil
 }
 
-// insert records m (already written into its pool frame) in the active
-// lookup structure. The block must not be present.
-func (f *MSHRFile) insert(m *MSHR) {
-	if f.fastOn {
-		b := f.fastBucket(m.Block)
-		f.fastNext[m.slot] = f.fastHeads[b]
-		f.fastHeads[b] = m.slot
-	} else {
-		f.pending[m.Block] = m
-	}
+// place takes a free pool frame, writes e into it and links it into the
+// index and the ready queue. The block must not be in flight and the file
+// must not be full.
+func (f *MSHRFile) place(e MSHR) *MSHR {
+	slot := f.free[len(f.free)-1]
+	f.free = f.free[:len(f.free)-1]
+	f.gen++
+	e.slot, e.gen = slot, f.gen
+	f.pool[slot] = e
+	b := f.bucket(e.Block)
+	f.next[slot] = f.heads[b]
+	f.heads[b] = slot
 	f.count++
+	f.pushReady(mshrReady{readyAt: e.ReadyAt, slot: slot, gen: e.gen})
+	return &f.pool[slot]
 }
 
-// unlink drops m from the active lookup structure and recycles its pool
-// frame. The entry must be present.
+// unlink drops m from the index and recycles its pool frame. The entry
+// must be present.
 func (f *MSHRFile) unlink(m *MSHR) {
-	if f.fastOn {
-		b := f.fastBucket(m.Block)
-		if f.fastHeads[b] == m.slot {
-			f.fastHeads[b] = f.fastNext[m.slot]
-		} else {
-			for s := f.fastHeads[b]; ; s = f.fastNext[s] {
-				if f.fastNext[s] == m.slot {
-					f.fastNext[s] = f.fastNext[m.slot]
-					break
-				}
+	b := f.bucket(m.Block)
+	if f.heads[b] == m.slot {
+		f.heads[b] = f.next[m.slot]
+	} else {
+		for s := f.heads[b]; ; s = f.next[s] {
+			if f.next[s] == m.slot {
+				f.next[s] = f.next[m.slot]
+				break
 			}
 		}
-	} else {
-		delete(f.pending, m.Block)
 	}
 	f.free = append(f.free, m.slot)
+	m.slot = -1
 	f.count--
 }
-
-// fastBucket hashes a block ID into the chain table (Fibonacci hashing on
-// a power-of-two table).
-func (f *MSHRFile) fastBucket(id uint64) uint64 {
-	return (id * 0x9E3779B97F4A7C15) >> f.fastShift
-}
-
-// EnableFastIndex switches lookups from the pending map to the chained
-// pool index. Idempotent; building walks the fixed pool in frame order so
-// chain layout is deterministic regardless of map iteration order. The
-// skip engine enables this at measured-window entry; Reset and Restore
-// fall back to the map.
-func (f *MSHRFile) EnableFastIndex() {
-	if f.fastOn {
-		return
-	}
-	buckets := 8
-	for buckets < 4*f.capacity {
-		buckets *= 2
-	}
-	shift := uint(64)
-	for n := 1; n < buckets; n *= 2 {
-		shift--
-	}
-	f.fastShift = shift
-	if len(f.fastHeads) != buckets {
-		f.fastHeads = make([]int32, buckets)
-	}
-	for i := range f.fastHeads {
-		f.fastHeads[i] = -1
-	}
-	if len(f.fastNext) != f.capacity {
-		f.fastNext = make([]int32, f.capacity)
-	}
-	occupied := f.pending
-	f.pending = nil // park the map: any unported access fails loud
-	f.fastOn = true
-	f.count = 0
-	for i := range f.pool {
-		m := &f.pool[i]
-		if occupied[m.Block] != m {
-			continue // unoccupied frame
-		}
-		f.insert(m)
-	}
-}
-
-// disableFastIndex rebuilds the pending map from the pool and drops back
-// to reference (map) mode. No-op when the index is off.
-func (f *MSHRFile) disableFastIndex() {
-	if !f.fastOn {
-		return
-	}
-	pending := make(map[uint64]*MSHR, f.capacity)
-	for i := range f.pool {
-		m := &f.pool[i]
-		if f.isLive(m) {
-			pending[m.Block] = m
-		}
-	}
-	f.fastOn = false
-	f.pending = pending
-	f.count = len(pending)
-	// Fast mode leaves the ready slice unsorted; heap mode's pop paths
-	// assume the heap property, so restore it over the surviving pairs.
-	for i := len(f.ready)/2 - 1; i >= 0; i-- {
-		f.siftDown(i)
-	}
-}
-
-// isLive reports whether pool entry m is currently in flight.
-func (f *MSHRFile) isLive(m *MSHR) bool { return f.get(m.Block) == m }
 
 // Lookup returns the entry for block a under geometry g, if in flight.
 func (f *MSHRFile) Lookup(g addr.Geometry, a addr.Addr) (*MSHR, bool) {
@@ -227,51 +168,29 @@ func (f *MSHRFile) Lookup(g addr.Geometry, a addr.Addr) (*MSHR, bool) {
 	return m, m != nil
 }
 
-// Remove retires the entry for block a, if any. Its heap pair stays behind
-// as a tombstone.
+// Remove retires the entry for block a, if any. Its ready pair stays
+// behind as a tombstone.
 func (f *MSHRFile) Remove(g addr.Geometry, a addr.Addr) {
 	if m := f.get(g.BlockID(a)); m != nil {
 		f.unlink(m)
 	}
 }
 
-// live reports whether a heap pair still denotes an in-flight entry.
-func (f *MSHRFile) live(e mshrReady) bool {
-	m := f.get(e.block)
-	return m != nil && m.ReadyAt == e.readyAt
+// live returns the in-flight entry a ready pair denotes, or nil for a
+// tombstone.
+func (f *MSHRFile) live(e mshrReady) *MSHR {
+	if m := &f.pool[e.slot]; m.slot >= 0 && m.gen == e.gen {
+		return m
+	}
+	return nil
 }
 
 // ReleaseBefore retires every entry whose fill completed at or before now,
 // returning the number retired. The simulator calls this as time advances.
-//
-// Both ready structures retire the identical set — the min-heap surfaces
-// every pair with readyAt <= now before any later one, and the unsorted
-// sweep visits all of them — so the engines agree on every observable:
-// retired count, in-flight set, and stall horizon. Only the free-list
-// order (hence future pool-frame assignment) differs, and frames are
-// never serialised or counted.
 func (f *MSHRFile) ReleaseBefore(now int64) int {
 	n := 0
-	if f.fastOn {
-		keep := f.ready[:0]
-		for _, e := range f.ready {
-			m := f.get(e.block)
-			if m == nil || m.ReadyAt != e.readyAt {
-				continue // tombstone
-			}
-			if e.readyAt <= now {
-				f.unlink(m)
-				n++
-				continue
-			}
-			keep = append(keep, e)
-		}
-		f.ready = keep
-		return n
-	}
-	for len(f.ready) > 0 && f.ready[0].readyAt <= now {
-		e := f.popReady()
-		if m := f.get(e.block); m != nil && m.ReadyAt == e.readyAt {
+	for ; f.head < f.tail && f.ready[f.head].readyAt <= now; f.head++ {
+		if m := f.live(f.ready[f.head]); m != nil {
 			f.unlink(m)
 			n++
 		}
@@ -282,35 +201,13 @@ func (f *MSHRFile) ReleaseBefore(now int64) int {
 // EarliestReady returns the soonest completion cycle among in-flight
 // entries, or 0 when the file is empty.
 func (f *MSHRFile) EarliestReady() int64 {
-	if f.fastOn {
-		keep := f.ready[:0]
-		min := int64(0)
-		for _, e := range f.ready {
-			if !f.live(e) {
-				continue // tombstone
-			}
-			keep = append(keep, e)
-			if min == 0 || e.readyAt < min {
-				min = e.readyAt
-			}
+	for ; f.head < f.tail; f.head++ {
+		if e := f.ready[f.head]; f.live(e) != nil {
+			return e.readyAt
 		}
-		f.ready = keep
-		return min
-	}
-	for len(f.ready) > 0 {
-		if f.live(f.ready[0]) {
-			return f.ready[0].readyAt
-		}
-		f.popReady()
 	}
 	return 0
 }
-
-// NextEvent implements the event-horizon query (docs/FASTFORWARD.md): the
-// soonest in-flight fill completion, or 0 when nothing is scheduled. This
-// is EarliestReady under its event-horizon name; between now and that
-// cycle no MSHR entry changes state on its own.
-func (f *MSHRFile) NextEvent() int64 { return f.EarliestReady() }
 
 // Allocate records a new in-flight miss for block a completing at readyAt.
 // It returns the entry and true on success, or nil and false when the file
@@ -331,93 +228,40 @@ func (f *MSHRFile) Allocate(g addr.Geometry, a addr.Addr, readyAt int64, prefetc
 		f.fullStall++
 		return nil, false
 	}
-	slot := f.free[len(f.free)-1]
-	f.free = f.free[:len(f.free)-1]
-	m := &f.pool[slot]
-	*m = MSHR{Block: id, ReadyAt: readyAt, Prefetch: prefetch, slot: slot}
+	e := MSHR{Block: id, ReadyAt: readyAt, Prefetch: prefetch}
 	if !prefetch {
-		m.Demands = 1
+		e.Demands = 1
 	}
-	f.insert(m)
 	f.allocs++
-	f.pushReady(mshrReady{block: id, readyAt: readyAt})
-	return m, true
+	return f.place(e), true
 }
 
-// pushReady adds a ready pair, compacting tombstones first when they
-// dominate the structure (lazy deletion would otherwise grow it without
-// bound on workloads that retire entries via Remove and rarely stall).
+// pushReady inserts a ready pair in ReadyAt order, first compacting the
+// queue to the front of its storage, without tombstones, when the tail has
+// reached the end. The storage holds twice the capacity and at most
+// capacity pairs are live, so compaction leaves room for the insert.
 func (f *MSHRFile) pushReady(e mshrReady) {
-	if len(f.ready) >= 2*f.capacity && len(f.ready) >= 2*f.count {
-		f.compactReady()
-	}
-	f.ready = append(f.ready, e)
-	if f.fastOn {
-		return // unsorted mode: order is recovered by the sweep on demand
-	}
-	i := len(f.ready) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if f.ready[p].readyAt <= f.ready[i].readyAt {
-			break
+	if f.tail == len(f.ready) {
+		n := 0
+		for _, r := range f.ready[f.head:f.tail] {
+			if f.live(r) != nil {
+				f.ready[n] = r
+				n++
+			}
 		}
-		f.ready[p], f.ready[i] = f.ready[i], f.ready[p]
-		i = p
+		f.head, f.tail = 0, n
 	}
-}
-
-// popReady removes and returns the minimum pair; the heap must be
-// non-empty.
-func (f *MSHRFile) popReady() mshrReady {
-	top := f.ready[0]
-	last := len(f.ready) - 1
-	f.ready[0] = f.ready[last]
-	f.ready = f.ready[:last]
-	f.siftDown(0)
-	return top
-}
-
-// siftDown restores the heap property below index i.
-func (f *MSHRFile) siftDown(i int) {
-	n := len(f.ready)
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && f.ready[l].readyAt < f.ready[min].readyAt {
-			min = l
-		}
-		if r < n && f.ready[r].readyAt < f.ready[min].readyAt {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		f.ready[i], f.ready[min] = f.ready[min], f.ready[i]
-		i = min
+	i := f.tail
+	for i > f.head && f.ready[i-1].readyAt > e.readyAt {
+		i--
 	}
-}
-
-// compactReady drops every tombstone and, in heap mode, re-heapifies the
-// survivors. It walks the ready slice (not the map), so iteration is
-// deterministic.
-func (f *MSHRFile) compactReady() {
-	keep := f.ready[:0]
-	for _, e := range f.ready {
-		if f.live(e) {
-			keep = append(keep, e)
-		}
-	}
-	f.ready = keep
-	if f.fastOn {
-		return
-	}
-	for i := len(f.ready)/2 - 1; i >= 0; i-- {
-		f.siftDown(i)
-	}
+	copy(f.ready[i+1:f.tail+1], f.ready[i:f.tail])
+	f.ready[i] = e
+	f.tail++
 }
 
 // Quiesce clamps every in-flight entry's completion cycle to at most max
-// and rebuilds the ready heap to match. Entries stay in flight — merges
+// and rebuilds the ready queue to match. Entries stay in flight — merges
 // against them keep their semantics — but none completes later than max,
 // bounding post-clamp stalls and merge windows. The fast-forward warmup
 // boundary uses this with max = boundary + the worst-case fill latency:
@@ -427,19 +271,16 @@ func (f *MSHRFile) compactReady() {
 // (docs/FASTFORWARD.md). The rebuild walks the fixed pool in frame order,
 // so it is deterministic.
 func (f *MSHRFile) Quiesce(max int64) {
-	f.ready = f.ready[:0]
+	f.head, f.tail = 0, 0
 	for i := range f.pool {
 		m := &f.pool[i]
-		if !f.isLive(m) {
+		if m.slot < 0 {
 			continue // unoccupied frame
 		}
 		if m.ReadyAt > max {
 			m.ReadyAt = max
 		}
-		f.ready = append(f.ready, mshrReady{block: m.Block, readyAt: m.ReadyAt})
-	}
-	for i := len(f.ready)/2 - 1; i >= 0; i-- {
-		f.siftDown(i)
+		f.pushReady(mshrReady{readyAt: m.ReadyAt, slot: m.slot, gen: m.gen})
 	}
 }
 
@@ -455,13 +296,8 @@ func (f *MSHRFile) Stats() MSHRStats {
 	return MSHRStats{Allocations: f.allocs, Merges: f.merges, FullStalls: f.fullStall}
 }
 
-// Reset clears all entries and statistics, dropping back to the reference
-// (map) lookup structure.
+// Reset clears all entries and statistics.
 func (f *MSHRFile) Reset() {
-	f.fastOn = false
-	f.pending = make(map[uint64]*MSHR, f.capacity)
-	f.count = 0
-	f.refillFree()
-	f.ready = f.ready[:0]
+	f.clear()
 	f.merges, f.allocs, f.fullStall = 0, 0, 0
 }

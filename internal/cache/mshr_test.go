@@ -1,9 +1,14 @@
 package cache
 
 import (
+	"errors"
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"tagprefetch/internal/addr"
+	"tagprefetch/internal/checkpoint"
 )
 
 func TestMSHRAllocateAndMerge(t *testing.T) {
@@ -99,110 +104,232 @@ func TestMSHRBadCapacityClamped(t *testing.T) {
 	}
 }
 
-// TestMSHRNextEvent pins the file's event-horizon query: the soonest
-// in-flight completion, tracked lazily through tombstones.
-func TestMSHRNextEvent(t *testing.T) {
+// naiveMSHR is the obviously-correct model the file is checked against:
+// the in-flight entries in a slice, searched linearly.
+type naiveMSHR struct {
+	capacity int
+	entries  []MSHR
+	stats    MSHRStats
+}
+
+func (n *naiveMSHR) find(id uint64) int {
+	return slices.IndexFunc(n.entries, func(e MSHR) bool { return e.Block == id })
+}
+
+func (n *naiveMSHR) allocate(id uint64, readyAt int64, prefetch bool) (MSHR, bool) {
+	if i := n.find(id); i >= 0 {
+		n.stats.Merges++
+		if !prefetch {
+			n.entries[i].Demands++
+			n.entries[i].Prefetch = false
+		}
+		return n.entries[i], true
+	}
+	if len(n.entries) >= n.capacity {
+		n.stats.FullStalls++
+		return MSHR{}, false
+	}
+	e := MSHR{Block: id, ReadyAt: readyAt, Prefetch: prefetch}
+	if !prefetch {
+		e.Demands = 1
+	}
+	n.stats.Allocations++
+	n.entries = append(n.entries, e)
+	return e, true
+}
+
+func (n *naiveMSHR) remove(id uint64) {
+	n.entries = slices.DeleteFunc(n.entries, func(e MSHR) bool { return e.Block == id })
+}
+
+func (n *naiveMSHR) releaseBefore(now int64) int {
+	before := len(n.entries)
+	n.entries = slices.DeleteFunc(n.entries, func(e MSHR) bool { return e.ReadyAt <= now })
+	return before - len(n.entries)
+}
+
+func (n *naiveMSHR) earliestReady() int64 {
+	earliest := int64(0)
+	for _, e := range n.entries {
+		if earliest == 0 || e.ReadyAt < earliest {
+			earliest = e.ReadyAt
+		}
+	}
+	return earliest
+}
+
+// liveEntries lists the file's in-flight entries in block order, without
+// their pool frames, for comparison with the naive model.
+func liveEntries(f *MSHRFile) []MSHR {
+	var out []MSHR
+	for i := range f.pool {
+		if m := &f.pool[i]; m.slot >= 0 {
+			e := *m
+			e.slot, e.gen = 0, 0
+			out = append(out, e)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Block < out[j].Block })
+	return out
+}
+
+// TestMSHRFastIndexEquivalence drives the file (chained index, sorted
+// ready queue) and the naive slice model through the same pseudo-random
+// sequence of Allocate, Lookup, Remove, ReleaseBefore, EarliestReady,
+// Quiesce and Save→Restore, and demands identical observables after every
+// step: returned entries, release counts, stall horizon, the full set of
+// in-flight entries, and activity counters. Capacities span a single
+// entry, an odd size, the Table 1 file and a file far larger than the
+// block range, so the full-file, out-of-order insertion and queue
+// compaction paths all run under load.
+func TestMSHRFastIndexEquivalence(t *testing.T) {
 	g := l1geom()
-	f := NewMSHRFile(8)
-	if e := f.NextEvent(); e != 0 {
-		t.Errorf("empty file NextEvent = %d, want 0", e)
-	}
-	f.Allocate(g, 0x1000, 300, false)
-	f.Allocate(g, 0x2000, 100, false)
-	f.Allocate(g, 0x3000, 200, false)
-	if e := f.NextEvent(); e != 100 {
-		t.Errorf("NextEvent = %d, want 100", e)
-	}
-	// Retiring the earliest entry leaves a tombstone; the horizon must
-	// skip it and surface the next live completion.
-	f.Remove(g, 0x2000)
-	if e := f.NextEvent(); e != 200 {
-		t.Errorf("after remove: NextEvent = %d, want 200", e)
-	}
-	if n := f.ReleaseBefore(250); n != 1 {
-		t.Errorf("released %d, want 1", n)
-	}
-	if e := f.NextEvent(); e != 300 {
-		t.Errorf("after release: NextEvent = %d, want 300", e)
-	}
-	f.Remove(g, 0x1000)
-	if e := f.NextEvent(); e != 0 {
-		t.Errorf("drained file NextEvent = %d, want 0", e)
+	for _, capacity := range []int{1, 3, 64, 2048} {
+		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
+			f := NewMSHRFile(capacity)
+			ref := &naiveMSHR{capacity: capacity}
+
+			rng := uint64(0x9E3779B97F4A7C15) + uint64(capacity) // deterministic LCG state
+			next := func(n uint64) uint64 {
+				rng = rng*6364136223846793005 + 1442695040888963407
+				return (rng >> 33) % n
+			}
+			blocks := uint64(4 * capacity) // enough reuse for merges and tombstones
+			if blocks > 512 {
+				blocks = 512
+			}
+
+			now := int64(0)
+			for step := 0; step < 20000; step++ {
+				now++
+				id := next(blocks)
+				a := addr.Addr(id * uint64(g.BlockBytes()))
+				switch op := next(16); {
+				case op < 6: // allocate or merge
+					ready := now + 1 + int64(next(200))
+					pf := next(4) == 0
+					m, ok := f.Allocate(g, a, ready, pf)
+					want, wantOK := ref.allocate(id, ready, pf)
+					if ok != wantOK || ok && (m.Block != want.Block || m.ReadyAt != want.ReadyAt ||
+						m.Demands != want.Demands || m.Prefetch != want.Prefetch) {
+						t.Fatalf("step %d: Allocate = %+v, %v; want %+v, %v", step, m, ok, want, wantOK)
+					}
+				case op < 9: // lookup
+					m, ok := f.Lookup(g, a)
+					i := ref.find(id)
+					if ok != (i >= 0) || ok && m.ReadyAt != ref.entries[i].ReadyAt {
+						t.Fatalf("step %d: Lookup = %+v, %v; naive index %d", step, m, ok, i)
+					}
+				case op < 11: // retire one entry
+					f.Remove(g, a)
+					ref.remove(id)
+				case op < 13: // bulk release, as the full-file stall path does
+					h := now - int64(next(100))
+					if got, want := f.ReleaseBefore(h), ref.releaseBefore(h); got != want {
+						t.Fatalf("step %d: ReleaseBefore(%d) = %d, want %d", step, h, got, want)
+					}
+				case op < 14: // stall horizon
+					if got, want := f.EarliestReady(), ref.earliestReady(); got != want {
+						t.Fatalf("step %d: EarliestReady = %d, want %d", step, got, want)
+					}
+				case op < 15: // clamp completions, as the fast-warmup boundary does
+					horizon := now + int64(next(50))
+					f.Quiesce(horizon)
+					for i := range ref.entries {
+						ref.entries[i].ReadyAt = min(ref.entries[i].ReadyAt, horizon)
+					}
+				default: // checkpoint and restore in place
+					w := checkpoint.NewWriter()
+					if err := f.Save(w); err != nil {
+						t.Fatal(err)
+					}
+					r, err := checkpoint.NewReader(w.Finish())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := f.Restore(r); err != nil {
+						t.Fatalf("step %d: Restore: %v", step, err)
+					}
+				}
+				if f.InFlight() != len(ref.entries) {
+					t.Fatalf("step %d: InFlight = %d, want %d", step, f.InFlight(), len(ref.entries))
+				}
+				if step%64 == 0 {
+					want := slices.Clone(ref.entries)
+					sort.Slice(want, func(i, j int) bool { return want[i].Block < want[j].Block })
+					if got := liveEntries(f); !slices.Equal(got, want) {
+						t.Fatalf("step %d: entries\n%+v\nwant\n%+v", step, got, want)
+					}
+				}
+			}
+			if got := f.Stats(); got != ref.stats {
+				t.Fatalf("stats = %+v, want %+v", got, ref.stats)
+			}
+		})
 	}
 }
 
-// TestMSHRFastIndexEquivalence drives a reference (map + heap) file and a
-// fast-index (chained pool + unsorted ready bag) file through the same
-// pseudo-random operation sequence and demands identical observables after
-// every step: lookup results, in-flight count, release counts, stall
-// horizon, and activity counters. The fast file flips modes mid-sequence,
-// so the EnableFastIndex/disableFastIndex transitions (including the
-// re-heapify on the way back to reference mode) are exercised under load,
-// not just at boundaries.
-func TestMSHRFastIndexEquivalence(t *testing.T) {
+// mshrImage encodes an "mshr" section holding the given block IDs, in the
+// given order, each completing at cycle 100.
+func mshrImage(t *testing.T, blocks ...uint64) *checkpoint.Reader {
+	t.Helper()
+	w := checkpoint.NewWriter()
+	w.Section("mshr")
+	w.U64(0)
+	w.U64(uint64(len(blocks)))
+	w.U64(0)
+	w.U32(uint32(len(blocks)))
+	for _, b := range blocks {
+		w.U64(b)
+		w.I64(100)
+		w.Int(1)
+		w.Bool(false)
+	}
+	r, err := checkpoint.NewReader(w.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestMSHRRestoreRejectsCorruptEntryList: Save writes entries in strictly
+// ascending block order and never more than the capacity, so any other
+// entry list is a corrupt image. A duplicate block in particular would
+// occupy two frames while the index finds only one — a phantom entry that
+// never retires and permanently costs capacity.
+func TestMSHRRestoreRejectsCorruptEntryList(t *testing.T) {
+	for _, tc := range []struct {
+		label  string
+		blocks []uint64
+	}{
+		{"duplicate block", []uint64{7, 7}},
+		{"descending blocks", []uint64{9, 7}},
+		{"over capacity", []uint64{1, 2, 3}},
+	} {
+		t.Run(tc.label, func(t *testing.T) {
+			f := NewMSHRFile(2)
+			err := f.Restore(mshrImage(t, tc.blocks...))
+			if !errors.Is(err, checkpoint.ErrCorrupt) {
+				t.Fatalf("Restore(%v) = %v, want an error wrapping checkpoint.ErrCorrupt", tc.blocks, err)
+			}
+		})
+	}
+
+	// The well-formed image restores in full and frees its capacity.
+	f := NewMSHRFile(2)
+	if err := f.Restore(mshrImage(t, 7, 9)); err != nil {
+		t.Fatal(err)
+	}
+	if f.InFlight() != 2 {
+		t.Fatalf("InFlight = %d, want 2", f.InFlight())
+	}
+	if n := f.ReleaseBefore(1000); n != 2 || f.InFlight() != 0 {
+		t.Fatalf("ReleaseBefore retired %d, %d left in flight; want 2, 0", n, f.InFlight())
+	}
 	g := l1geom()
-	const cap = 16
-	ref := NewMSHRFile(cap)
-	fast := NewMSHRFile(cap)
-	fast.EnableFastIndex()
-
-	rng := uint64(0x9E3779B97F4A7C15) // deterministic LCG state
-	next := func(n uint64) uint64 {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		return (rng >> 33) % n
-	}
-
-	now := int64(0)
-	for step := 0; step < 20000; step++ {
-		now++
-		a := addr.Addr(next(64) * 0x40) // 64 blocks: collisions guaranteed
-		switch next(10) {
-		case 0, 1, 2, 3: // allocate/merge
-			ready := now + int64(next(200))
-			pf := next(4) == 0
-			mr, okR := ref.Allocate(g, a, ready, pf)
-			mf, okF := fast.Allocate(g, a, ready, pf)
-			if okR != okF {
-				t.Fatalf("step %d: alloc ok %v vs %v", step, okR, okF)
-			}
-			if okR && (mr.ReadyAt != mf.ReadyAt || mr.Demands != mf.Demands ||
-				mr.Prefetch != mf.Prefetch || mr.Block != mf.Block) {
-				t.Fatalf("step %d: alloc entry %+v vs %+v", step, mr, mf)
-			}
-		case 4, 5: // lookup
-			mr, okR := ref.Lookup(g, a)
-			mf, okF := fast.Lookup(g, a)
-			if okR != okF {
-				t.Fatalf("step %d: lookup ok %v vs %v", step, okR, okF)
-			}
-			if okR && (mr.ReadyAt != mf.ReadyAt || mr.Demands != mf.Demands) {
-				t.Fatalf("step %d: lookup entry %+v vs %+v", step, mr, mf)
-			}
-		case 6: // retire
-			ref.Remove(g, a)
-			fast.Remove(g, a)
-		case 7: // bulk release, as the full-file stall path would
-			h := now - int64(next(100))
-			if nr, nf := ref.ReleaseBefore(h), fast.ReleaseBefore(h); nr != nf {
-				t.Fatalf("step %d: released %d vs %d", step, nr, nf)
-			}
-		case 8: // stall horizon
-			if er, ef := ref.EarliestReady(), fast.EarliestReady(); er != ef {
-				t.Fatalf("step %d: earliest %d vs %d", step, er, ef)
-			}
-		case 9: // flip the fast file's mode under load
-			if next(2) == 0 {
-				fast.disableFastIndex()
-			} else {
-				fast.EnableFastIndex()
-			}
+	for _, a := range []addr.Addr{0x1000, 0x2000} {
+		if _, ok := f.Allocate(g, a, 2000, false); !ok {
+			t.Fatalf("Allocate(%#x) refused after the restored entries retired", a)
 		}
-		if ref.InFlight() != fast.InFlight() {
-			t.Fatalf("step %d: in flight %d vs %d", step, ref.InFlight(), fast.InFlight())
-		}
-	}
-	sr, sf := ref.Stats(), fast.Stats()
-	if sr != sf {
-		t.Fatalf("stats diverged: %+v vs %+v", sr, sf)
 	}
 }

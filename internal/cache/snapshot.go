@@ -67,8 +67,7 @@ func (c *Cache) Restore(r *checkpoint.Reader) error {
 
 // Save implements checkpoint.Snapshotter. In-flight entries are gathered
 // from the fixed pool and written in ascending block-ID order, so the image
-// is deterministic and identical whichever lookup structure (reference map
-// or skip-engine fast index) is active.
+// is deterministic and independent of pool-frame assignment.
 func (f *MSHRFile) Save(w *checkpoint.Writer) error {
 	w.Section("mshr")
 	w.U64(f.merges)
@@ -76,7 +75,7 @@ func (f *MSHRFile) Save(w *checkpoint.Writer) error {
 	w.U64(f.fullStall)
 	live := make([]*MSHR, 0, f.count)
 	for i := range f.pool {
-		if m := &f.pool[i]; f.isLive(m) {
+		if m := &f.pool[i]; m.slot >= 0 {
 			live = append(live, m)
 		}
 	}
@@ -91,7 +90,12 @@ func (f *MSHRFile) Save(w *checkpoint.Writer) error {
 	return nil
 }
 
-// Restore implements checkpoint.Snapshotter.
+// Restore implements checkpoint.Snapshotter. It empties the file in place
+// and re-places each decoded entry into the preallocated pool and chains.
+// An entry list longer than the capacity, or whose block IDs are not
+// strictly ascending as Save writes them (a duplicate block would occupy
+// two frames while the index finds only one), is rejected with an error
+// wrapping checkpoint.ErrCorrupt.
 func (f *MSHRFile) Restore(r *checkpoint.Reader) error {
 	if err := r.Section("mshr"); err != nil {
 		return err
@@ -104,13 +108,10 @@ func (f *MSHRFile) Restore(r *checkpoint.Reader) error {
 		return err
 	}
 	if n > f.capacity {
-		return fmt.Errorf("mshr: checkpoint holds %d entries, capacity %d", n, f.capacity)
+		return fmt.Errorf("%w: mshr: checkpoint holds %d entries, capacity %d", checkpoint.ErrCorrupt, n, f.capacity)
 	}
-	f.fastOn = false // restore always lands in reference (map) mode
-	f.pending = make(map[uint64]*MSHR, f.capacity)
-	f.count = 0
-	f.refillFree()
-	f.ready = f.ready[:0]
+	f.clear()
+	var prev uint64
 	for i := 0; i < n; i++ {
 		e := MSHR{
 			Block:    r.U64(),
@@ -118,16 +119,15 @@ func (f *MSHRFile) Restore(r *checkpoint.Reader) error {
 			Demands:  r.Int(),
 			Prefetch: r.Bool(),
 		}
-		if r.Err() != nil {
-			break
+		if err := r.Err(); err != nil {
+			return err
 		}
-		slot := f.free[len(f.free)-1]
-		f.free = f.free[:len(f.free)-1]
-		e.slot = slot
-		f.pool[slot] = e
-		f.pending[e.Block] = &f.pool[slot]
-		f.count++
-		f.pushReady(mshrReady{block: e.Block, readyAt: e.ReadyAt})
+		if i > 0 && e.Block <= prev {
+			return fmt.Errorf("%w: mshr: entry %d block %d does not follow block %d",
+				checkpoint.ErrCorrupt, i, e.Block, prev)
+		}
+		prev = e.Block
+		f.place(e)
 	}
-	return r.Err()
+	return nil
 }

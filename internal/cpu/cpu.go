@@ -193,10 +193,6 @@ type Core struct {
 	fastActive bool
 	fclock     int64 // functional cycle: one per fast-forwarded instruction
 
-	// measured-phase skip engine selection (skip.go): host-side, results
-	// are bit-identical either way by contract.
-	measureSkip bool //tcp:nosnap engine selection, not simulated state; reset clears it
-
 	// telemetry (optional; nil fields are skipped on the hot path)
 	instrCtr *telemetry.Counter //tcp:nosnap host-side observability handle, outside the simulated state
 	cycleCtr *telemetry.Counter //tcp:nosnap host-side observability handle, outside the simulated state
@@ -224,7 +220,6 @@ func (c *Core) reset() {
 	c.warmRes = Result{}
 	c.fastActive = false
 	c.fclock = 0
-	c.measureSkip = false
 }
 
 // SetOnLoadRetire installs (or clears) the load-retirement hook on a core
@@ -286,8 +281,8 @@ type pipeline struct {
 	// commitAt (done mod RUUSize), lsqPos the next memory op's slot in
 	// memCommit (memCount mod LSQSize). They replace a division by the
 	// ring size per access, for any size. syncRings derives them from
-	// the counters on every AdvanceTo entry, so reset, SealFastForward,
-	// Restore and the skip engine never leave them stale.
+	// the counters on every AdvanceTo entry, so reset, SealFastForward
+	// and Restore never leave them stale.
 	ruuPos int //tcp:nosnap derived from done by syncRings
 	lsqPos int //tcp:nosnap derived from memCount by syncRings
 
@@ -299,11 +294,6 @@ type pipeline struct {
 	commitSlots   int
 	lastCommit    int64
 	fetchResume   int64
-
-	// skip-engine ring masks (skip.go), valid only for power-of-two
-	// RUU/LSQ geometry and set by primeSkip before each skip advance.
-	ruuMask uint64 //tcp:nosnap derived geometry mask, rebuilt by primeSkip
-	lsqMask int    //tcp:nosnap derived geometry mask, rebuilt by primeSkip
 }
 
 // newPipeline allocates every ring and scoreboard up front so that step
@@ -326,11 +316,11 @@ func newPipeline(cfg Config, mem Memory, pred branch.Predictor) *pipeline {
 
 // step advances the model by one dynamic instruction — dispatch, operand
 // readiness, issue/execute, in-order commit — accumulating stall and event
-// counters into res. i is the dynamic instruction index.
+// counters into res. i is the dynamic instruction index. It runs once per
+// simulated instruction, so tcplint's hotalloc keeps it free of
+// allocation, fmt, and interface boxing.
 //
-// keeps it free of allocation, fmt, and interface boxing.
-//
-//tcp:hotpath — runs once per simulated instruction; tcplint's hotalloc
+//tcp:hotpath
 func (p *pipeline) step(i uint64, inst *workload.Inst, res *Result) {
 	cfg := &p.cfg
 	pos := p.ruuPos
@@ -366,20 +356,18 @@ func (p *pipeline) step(i uint64, inst *workload.Inst, res *Result) {
 	p.dispatchSlots++
 
 	// --- operand readiness ---
+	// A producer more than RUUSize back committed before our dispatch, so
+	// it is necessarily complete and only nearer ones are checked.
 	ready := d + 1
-	for _, dep := range [2]int32{inst.Dep1, inst.Dep2} {
-		if dep <= 0 || uint64(dep) > i {
-			continue
+	if dep := inst.Dep1; dep > 0 && uint64(dep) <= i && dep <= int32(cfg.RUUSize) {
+		if w := p.doneAt[p.ruuBack(pos, dep)]; w > ready {
+			ready = w
 		}
-		if dep <= int32(cfg.RUUSize) {
-			at := pos - int(dep)
-			at += cfg.RUUSize & (at >> 63) // wrap without a branch
-			if w := p.doneAt[at]; w > ready {
-				ready = w
-			}
+	}
+	if dep := inst.Dep2; dep > 0 && uint64(dep) <= i && dep <= int32(cfg.RUUSize) {
+		if w := p.doneAt[p.ruuBack(pos, dep)]; w > ready {
+			ready = w
 		}
-		// A producer more than RUUSize back committed before our
-		// dispatch, so it is necessarily complete.
 	}
 
 	// --- issue and execute ---
@@ -458,6 +446,13 @@ func (p *pipeline) step(i uint64, inst *workload.Inst, res *Result) {
 	}
 }
 
+// ruuBack returns the RUU ring slot dep instructions before slot pos,
+// wrapping without a branch; 0 < dep <= RUUSize.
+func (p *pipeline) ruuBack(pos int, dep int32) int {
+	at := pos - int(dep)
+	return at + p.cfg.RUUSize&(at>>63)
+}
+
 // syncRings derives the ring cursors from the instruction and memory-op
 // counts; see pipeline.ruuPos.
 func (p *pipeline) syncRings(done uint64) {
@@ -488,10 +483,6 @@ func (c *Core) Warmed() bool { return c.warmed }
 func (c *Core) AdvanceTo(gen workload.Generator, target uint64) {
 	if c.fastActive && c.done < target {
 		panic("cpu: AdvanceTo during fast-forward; call SealFastForward (or MarkWarmBoundary) first")
-	}
-	if c.measureSkip && c.p.primeSkip() {
-		c.advanceToSkip(gen, target)
-		return
 	}
 	c.p.syncRings(c.done)
 	var inst workload.Inst

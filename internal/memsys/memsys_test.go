@@ -402,38 +402,6 @@ func TestPromotionAllowedOnceVictimLifetimeLearned(t *testing.T) {
 	}
 }
 
-// TestNextEvent pins the hierarchy's composed event-horizon query: the
-// min-positive over the bus backlogs and the soonest in-flight MSHR fill,
-// 0 on an idle hierarchy.
-func TestNextEvent(t *testing.T) {
-	m := newSys(nil)
-	if e := m.NextEvent(); e != 0 {
-		t.Errorf("idle hierarchy NextEvent = %d, want 0", e)
-	}
-
-	// A cold miss books both buses and leaves one fill in flight.
-	done := m.Access(0x1000, 0, false, 0)
-	want := int64(0)
-	for _, h := range []int64{m.l1Bus.NextEvent(), m.memBus.NextEvent(), m.mshr.NextEvent()} {
-		if h != 0 && (want == 0 || h < want) {
-			want = h
-		}
-	}
-	if e := m.NextEvent(); e != want || e == 0 {
-		t.Errorf("after miss: NextEvent = %d, want min-positive component horizon %d", e, want)
-	}
-	if e := m.NextEvent(); e > done {
-		t.Errorf("horizon %d beyond the miss completion %d", e, done)
-	}
-
-	// Once the fill retires and backlogs drain, the horizon must clear:
-	// the MSHR entry is retired lazily by the release sweep.
-	m.mshr.ReleaseBefore(done + 1)
-	if e := m.mshr.NextEvent(); e != 0 {
-		t.Errorf("drained MSHR NextEvent = %d, want 0", e)
-	}
-}
-
 // scratchStub answers OnMiss and OnAccess from one reused scratch array,
 // as the Prefetcher contract allows: each result is valid only until the
 // next call.
@@ -474,5 +442,56 @@ func TestMissGathersAliasedBatches(t *testing.T) {
 		if b := g.Compose(tag, 9); !m.L2().Probe(DefaultConfig().L2.Block(b)) {
 			t.Errorf("prefetch of tag %d missing from L2", tag)
 		}
+	}
+}
+
+// recordingStub counts the training calls it receives and issues nothing.
+type recordingStub struct{ misses, accesses, evicts int }
+
+func (s *recordingStub) Name() string { return "recordingstub" }
+func (s *recordingStub) OnMiss(trace.Miss) []prefetch.Request {
+	s.misses++
+	return nil
+}
+func (s *recordingStub) OnAccess(addr.Addr, addr.Addr, int64, bool) []prefetch.Request {
+	s.accesses++
+	return nil
+}
+func (s *recordingStub) OnEvict(addr.Addr, int64, int64, int64) { s.evicts++ }
+func (s *recordingStub) StorageBits() uint64                    { return 0 }
+func (s *recordingStub) Reset()                                 {}
+
+// TestUsePrefetcherTrainsAfterNone: a hierarchy built with prefetch.None
+// skips the training calls, but a prefetcher attached later — as a
+// baseline warmup attaches the scheme under test at the boundary — must
+// see every miss and access from then on, and detaching it again restores
+// the skip.
+func TestUsePrefetcherTrainsAfterNone(t *testing.T) {
+	g := DefaultConfig().L1D
+	m := newSys(prefetch.None{})
+	m.Access(g.Compose(1, 3), 0x400000, false, 0) // warm miss under None
+
+	pf := &recordingStub{}
+	m.UsePrefetcher(pf)
+	now := int64(1000)
+	for tag := uint64(10); tag < 14; tag++ {
+		m.Access(g.Compose(tag, 3), 0x400000, false, now) // conflict misses evict
+		now += 1000
+	}
+	if pf.misses != 4 || pf.accesses != 4 || pf.evicts != 4 {
+		t.Errorf("attached prefetcher saw %d misses, %d accesses, %d evictions; want 4 each",
+			pf.misses, pf.accesses, pf.evicts)
+	}
+
+	m.UsePrefetcher(prefetch.None{})
+	m.Access(g.Compose(20, 3), 0x400000, false, now)
+	if pf.misses != 4 || !m.pfNoop {
+		t.Errorf("detached prefetcher still trained (misses %d) or elision off (pfNoop %v)", pf.misses, m.pfNoop)
+	}
+
+	// An L2 prefetcher keeps the L1 plumbing live even with None at L1.
+	m.UseL2Prefetcher(&recordingStub{})
+	if m.pfNoop {
+		t.Error("pfNoop set with an L2 prefetcher attached")
 	}
 }

@@ -9,10 +9,8 @@ import (
 
 // TestNonPowerOfTwoRingsPinned pins the full outcome of runs whose RUU and
 // LSQ sizes are not powers of two, where ring indexing cannot be a mask.
-// The measured-skip differential falls back to the reference loop for such
-// geometry, so it compares the loop with itself; these values were
-// captured from the modulo-indexed pipeline and hold the cursor-indexed
-// one to it. Each case pins a sha256 of the full Result and of the final
+// These values were captured from the modulo-indexed pipeline and hold
+// the cursor-indexed one to it. Each case pins a sha256 of the full Result and of the final
 // checkpoint image, and requires a run checkpointed mid-window, restored
 // into a fresh machine and finished to end on the same image. The fast
 // warmup cases cross SealFastForward with an LSQ count that is not a

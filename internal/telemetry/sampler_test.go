@@ -120,8 +120,7 @@ func TestSamplerOnSampleCallback(t *testing.T) {
 }
 
 // TestSamplerClockJump pins the due/rebase semantics under discontinuous
-// commit clocks, which the measured-phase skip engine and long-latency
-// stalls both produce: when the clock lands past one or more due
+// commit clocks, which long-latency stalls produce: when the clock lands past one or more due
 // boundaries, exactly ONE sample is taken at the landing cycle and the
 // grid rebases there (next due = landing + every). Sample timing is thus a
 // function of the observed commit-cycle sequence alone — two engines that
