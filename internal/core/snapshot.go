@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tagprefetch/internal/checkpoint"
+	"tagprefetch/internal/sparse"
 	"tagprefetch/internal/telemetry"
 )
 
@@ -21,13 +22,24 @@ func (t *TCP) Save(w *checkpoint.Writer) error {
 		}
 	}
 	w.Ints(t.thtFill)
-	w.U32(uint32(len(t.pht)))
-	for i := range t.pht {
-		e := &t.pht[i]
-		w.U64(uint64(e.tag))
-		w.I64(e.used)
-		w.Bool(e.valid)
-		w.U64s(t.entryTargets(i))
+	ways := t.cfg.PHTWays
+	w.U32(uint32(t.dir.Sets() * ways))
+	for set := range t.dir.Sets() {
+		l, placed := t.dir.Find(uint64(set))
+		for way := range ways {
+			// An untouched set serialises as zero entries, as if its ways
+			// had been allocated and never trained.
+			var e phtEntry
+			var targets []uint64
+			if placed {
+				e = t.pht.At(l)[way]
+				targets = t.wayTargets(l, way)[:e.n]
+			}
+			w.U64(uint64(e.tag))
+			w.I64(e.used)
+			w.Bool(e.valid)
+			w.U64s(targets)
+		}
 	}
 	for _, m := range t.ctr.metrics() {
 		w.U64(m.(*telemetry.Counter).Value())
@@ -56,32 +68,47 @@ func (t *TCP) Restore(r *checkpoint.Reader) error {
 		}
 	}
 	r.ReadInts(t.thtFill)
-	if n := int(r.U32()); r.Err() == nil && n != len(t.pht) {
-		return fmt.Errorf("tcp: checkpoint PHT %d entries, want %d", n, len(t.pht))
+	ways := t.cfg.PHTWays
+	if n := int(r.U32()); r.Err() == nil && n != t.dir.Sets()*ways {
+		return fmt.Errorf("tcp: checkpoint PHT %d entries, want %d", n, t.dir.Sets()*ways)
 	}
 	if err := r.Err(); err != nil {
 		return err
 	}
-	for i := range t.pht {
-		e := &t.pht[i]
-		tag := r.U64()
-		e.used = r.I64()
-		e.valid = r.Bool()
-		n := r.U32()
-		if tag > t.tagMask {
-			return fmt.Errorf("%w: tcp: PHT entry %d tag %#x wider than %d bits",
-				checkpoint.ErrCorrupt, i, tag, t.cfg.TagBits)
-		}
-		if n > uint32(t.cfg.Targets) {
-			return fmt.Errorf("%w: tcp: PHT entry %d holds %d targets, max %d",
-				checkpoint.ErrCorrupt, i, n, t.cfg.Targets)
-		}
-		e.tag, e.n = uint32(tag), uint16(n)
-		// Read the targets in place: a fresh slice per entry would be 2 M
-		// allocations for a TCP-8M image.
-		targets := t.entryTargets(i)
-		for j := range targets {
-			targets[j] = r.U64()
+	// Only sets holding a non-zero field are placed: an all-zero set
+	// behaves exactly like one never trained, and Save writes it back as
+	// the same zero entries.
+	t.dir.Reset()
+	for set := range t.dir.Sets() {
+		var l sparse.Loc
+		placed := false
+		for way := range ways {
+			i := set*ways + way
+			tag := r.U64()
+			used := r.I64()
+			valid := r.Bool()
+			n := r.U32()
+			if tag > t.tagMask {
+				return fmt.Errorf("%w: tcp: PHT entry %d tag %#x wider than %d bits",
+					checkpoint.ErrCorrupt, i, tag, t.cfg.TagBits)
+			}
+			if n > uint32(t.cfg.Targets) {
+				return fmt.Errorf("%w: tcp: PHT entry %d holds %d targets, max %d",
+					checkpoint.ErrCorrupt, i, n, t.cfg.Targets)
+			}
+			if !placed && (tag != 0 || used != 0 || valid || n != 0) {
+				l, placed = t.place(uint64(set)), true
+			}
+			if !placed {
+				continue // n == 0: no targets follow
+			}
+			t.pht.At(l)[way] = phtEntry{used: used, tag: uint32(tag), n: uint16(n), valid: valid}
+			// Read the targets in place: a fresh slice per entry would be
+			// an allocation per trained entry.
+			targets := t.wayTargets(l, way)[:n]
+			for j := range targets {
+				targets[j] = r.U64()
+			}
 		}
 	}
 	for _, m := range t.ctr.metrics() {

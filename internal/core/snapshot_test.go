@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"tagprefetch/internal/checkpoint"
@@ -83,4 +85,105 @@ func TestRestoreRejectsCorruptPHT(t *testing.T) {
 	if !errors.Is(err, checkpoint.ErrCorrupt) {
 		t.Errorf("1-target TCP restoring 2 targets: err = %v, want ErrCorrupt", err)
 	}
+}
+
+// TestRestorePlacesInvalidWayState restores images in which one PHT set's
+// only non-zero field belongs to an invalid way — its recency, its tag, or
+// a target — and requires Save to write the same image back. A set is
+// skipped on restore only when every field is zero, so no such state is
+// dropped.
+func TestRestorePlacesInvalidWayState(t *testing.T) {
+	g := l1()
+	cases := []struct {
+		name string
+		set  func(e *phtEntry, slots []uint64)
+	}{
+		{"used", func(e *phtEntry, _ []uint64) { e.used = 7 }},
+		{"tag", func(e *phtEntry, _ []uint64) { e.tag = 0x2a }},
+		{"target", func(e *phtEntry, slots []uint64) { e.n, slots[0] = 1, 0x99 }},
+	}
+	for _, tc := range cases {
+		src := New(TCP8M(g))
+		l := src.place(12345)
+		tc.set(&src.pht.At(l)[3], src.wayTargets(l, 3))
+		img := saveTCP(t, src)
+
+		dst := New(TCP8M(g))
+		if err := restoreTCP(dst, img); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := saveTCP(t, dst); !bytes.Equal(got, img) {
+			t.Errorf("%s: restored TCP saves a different image", tc.name)
+		}
+	}
+}
+
+// TestNewFootprint guards the demand-allocated PHT: a fresh TCP-8M holds
+// its 1 MiB set directory and THT, not the 48 MiB of PHT entries and
+// targets it would take if allocated up front.
+func TestNewFootprint(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tcp := New(TCP8M(l1()))
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(tcp)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20 {
+		t.Errorf("New(TCP8M) allocated %d bytes, want <= 2 MiB", got)
+	}
+}
+
+// TestRestoreTruncatedPHT cuts a trained TCP's section short inside the
+// PHT — in the first entry, mid-table, in the last entry — and requires a
+// typed error, no panic, and a predictor that Reset returns to the fresh
+// state.
+func TestRestoreTruncatedPHT(t *testing.T) {
+	g := l1()
+	cfg := TCP8K(g)
+	cfg.Targets = 2
+	src := New(cfg)
+	for i := uint64(0); i < 200; i++ {
+		feed(src, g, uint32(i%64), i%5, i%9, i%7)
+	}
+	payload := sectionPayload(t, saveTCP(t, src))
+	rows := g.Sets()
+	// clock, THT geometry, THT tags, THT fill (length-prefixed), PHT size.
+	phtStart := 8 + 4 + 4 + rows*2*8 + 4 + rows*8 + 4
+	phtEnd := len(payload) - 8*len(src.ctr.metrics())
+	if n := binary.LittleEndian.Uint32(payload[phtStart-4:]); n != uint32(cfg.PHTSets*cfg.PHTWays) {
+		t.Fatalf("PHT size field at %d reads %d: the test's layout arithmetic is stale", phtStart-4, n)
+	}
+	fresh := saveTCP(t, New(cfg))
+	for _, cut := range []int{phtStart + 3, (phtStart + phtEnd) / 2, phtEnd - 3} {
+		w := checkpoint.NewWriter()
+		w.Section("tcp")
+		w.Write(payload[:cut])
+		dst := New(cfg)
+		err := restoreTCP(dst, w.Finish())
+		if !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Fatalf("cut at %d of %d: err = %v, want ErrCorrupt", cut, len(payload), err)
+		}
+		dst.Reset()
+		if !bytes.Equal(saveTCP(t, dst), fresh) {
+			t.Fatalf("cut at %d: Reset after a failed restore does not give a fresh TCP", cut)
+		}
+		ref := New(cfg)
+		for i := uint64(0); i < 50; i++ {
+			a, b := feed(ref, g, 3, i%4, i%6), feed(dst, g, 3, i%4, i%6)
+			if len(a) != len(b) {
+				t.Fatalf("cut at %d: miss %d predicts %d requests, fresh TCP %d", cut, i, len(b), len(a))
+			}
+		}
+	}
+}
+
+// sectionPayload returns the payload of a single-section image, which
+// sits between the section header and the CRC trailer.
+func sectionPayload(t *testing.T, img []byte) []byte {
+	t.Helper()
+	secs, err := checkpoint.Sections(img)
+	if err != nil || len(secs) != 1 {
+		t.Fatalf("sections = %v, %v; want one", secs, err)
+	}
+	end := len(img) - 4
+	return img[end-secs[0].Len : end]
 }

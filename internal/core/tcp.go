@@ -29,6 +29,7 @@ import (
 
 	"tagprefetch/internal/addr"
 	"tagprefetch/internal/prefetch"
+	"tagprefetch/internal/sparse"
 	"tagprefetch/internal/telemetry"
 	"tagprefetch/internal/trace"
 )
@@ -129,10 +130,11 @@ type TCP struct {
 	idxMask uint32 //tcp:nosnap geometry derived from cfg at construction
 	hiBits  uint   //tcp:nosnap geometry derived from cfg at construction
 
-	tht     [][]uint64 // [L1 sets][k] tag history, oldest first
-	thtFill []int      // valid tags per row
-	pht     []phtEntry // PHTSets * PHTWays
-	targets []uint64   // PHTSets * PHTWays * Targets: entry i's MRU list starts at i*Targets
+	tht     [][]uint64             // [L1 sets][k] tag history, oldest first
+	thtFill []int                  // valid tags per row
+	dir     sparse.Dir             // PHT set directory: a set is placed when first trained
+	pht     sparse.Store[phtEntry] // placed sets' ways, PHTWays per set
+	targets sparse.Store[uint64]   // their MRU target lists: way w's starts at w*Targets
 	clock   int64
 
 	// reqs is the scratch buffer OnMiss returns; per the Prefetcher
@@ -146,10 +148,11 @@ type TCP struct {
 	tr  *telemetry.Tracer //tcp:nosnap host-side observability wiring, outside the simulated state
 }
 
-// phtEntry is one PHT way. It holds no pointers, so the GC never scans
-// the table (TCP-8M's is 2 M entries), and it packs into 16 bytes, so an
-// 8-way set spans two cache lines. The entry's targets live in
-// TCP.targets.
+// phtEntry is one PHT way of a placed set. It holds no pointers, so the
+// GC never scans the store, and it packs into 16 bytes, so an 8-way set
+// spans two cache lines. A set never trained has no entries at all: TCP.dir
+// answers its probes, and TCP-8M allocates only the sets a run touches.
+// The entry's targets live in TCP.targets.
 type phtEntry struct {
 	used  int64
 	tag   uint32 // partial tag of the last tag in the indexing sequence (TagBits <= 32)
@@ -226,8 +229,9 @@ func New(cfg Config) *TCP {
 		t.tht[i], backing = backing[:cfg.HistoryDepth:cfg.HistoryDepth], backing[cfg.HistoryDepth:]
 	}
 	t.thtFill = make([]int, cfg.L1.Sets())
-	t.pht = make([]phtEntry, cfg.PHTSets*cfg.PHTWays)
-	t.targets = make([]uint64, len(t.pht)*cfg.Targets)
+	t.dir = sparse.NewDir(cfg.PHTSets)
+	t.pht = sparse.NewStore[phtEntry](cfg.PHTWays)
+	t.targets = sparse.NewStore[uint64](cfg.PHTWays * cfg.Targets)
 	t.ctr = newCounters()
 	t.tr = telemetry.Nop()
 	return t
@@ -288,27 +292,26 @@ func (t *TCP) phtIndex(seq []uint64, missIndex uint32) uint64 {
 	return ((hi << uint(t.cfg.IndexBits)) | lo) & t.setMask
 }
 
-// phtProbe returns the index of the matching entry in the set, or -1.
-func (t *TCP) phtProbe(setIdx uint64, lastTag uint64) int {
-	base := int(setIdx) * t.cfg.PHTWays
-	set := t.pht[base : base+t.cfg.PHTWays]
+// phtProbe returns the way of a PHT set tagged lastTag, or -1.
+func (t *TCP) phtProbe(set []phtEntry, lastTag uint64) int {
 	key := uint32(lastTag & t.tagMask)
 	for i := range set {
 		if set[i].valid && set[i].tag == key {
-			return base + i
+			return i
 		}
 	}
 	return -1
 }
 
-// phtAllocate returns the index of the matching entry, allocating (LRU
-// victim) if absent.
-func (t *TCP) phtAllocate(setIdx uint64, lastTag uint64) int {
-	if e := t.phtProbe(setIdx, lastTag); e >= 0 {
-		return e
+// phtAllocate returns the entry of PHT set setIdx tagged lastTag and its
+// target slots, allocating (LRU victim) if absent. The set is placed if
+// this is its first training.
+func (t *TCP) phtAllocate(setIdx uint64, lastTag uint64) (*phtEntry, []uint64) {
+	l := t.place(setIdx)
+	set := t.pht.At(l)
+	if w := t.phtProbe(set, lastTag); w >= 0 {
+		return &set[w], t.wayTargets(l, w)
 	}
-	base := int(setIdx) * t.cfg.PHTWays
-	set := t.pht[base : base+t.cfg.PHTWays]
 	victim := 0
 	for i := range set {
 		if !set[i].valid {
@@ -328,13 +331,24 @@ func (t *TCP) phtAllocate(setIdx uint64, lastTag uint64) int {
 			Level: telemetry.LevelDebug, Addr: uint64(set[victim].tag), Value: int64(setIdx)})
 	}
 	set[victim] = phtEntry{tag: uint32(lastTag & t.tagMask), valid: true}
-	return base + victim
+	return &set[victim], t.wayTargets(l, victim)
 }
 
-// entryTargets returns entry e's live targets, MRU first.
-func (t *TCP) entryTargets(e int) []uint64 {
-	base := e * t.cfg.Targets
-	return t.targets[base : base+int(t.pht[e].n)]
+// place returns the location of PHT set setIdx, placing it (with zero
+// entries) if it was never trained.
+func (t *TCP) place(setIdx uint64) sparse.Loc {
+	l, fresh := t.dir.Place(setIdx)
+	if fresh {
+		t.pht.Add(&t.dir, l)
+		t.targets.Add(&t.dir, l)
+	}
+	return l
+}
+
+// wayTargets returns the Targets slots of way w in the PHT set at l; the
+// entry's n live targets come first, MRU first.
+func (t *TCP) wayTargets(l sparse.Loc, w int) []uint64 {
+	return t.targets.At(l)[w*t.cfg.Targets:][:t.cfg.Targets]
 }
 
 // OnMiss implements prefetch.Prefetcher: the update and lookup operations
@@ -347,10 +361,9 @@ func (t *TCP) OnMiss(m trace.Miss) []prefetch.Request {
 
 	// Update: train PHT[old sequence] with the observed successor.
 	if t.thtFill[m.Index] == k {
-		setIdx := t.phtIndex(row, m.Index)
-		e := t.phtAllocate(setIdx, row[k-1])
-		t.pht[e].used = t.clock
-		t.train(e, m.Tag)
+		e, slots := t.phtAllocate(t.phtIndex(row, m.Index), row[k-1])
+		e.used = t.clock
+		train(e, slots, m.Tag)
 		t.ctr.updates.Inc()
 	}
 
@@ -369,18 +382,8 @@ func (t *TCP) OnMiss(m trace.Miss) []prefetch.Request {
 	// Lookup: predict the successor of the new sequence.
 	t.ctr.lookups.Inc()
 	reqs := t.reqs[:0]
-	setIdx := t.phtIndex(row, m.Index)
-	if e := t.phtProbe(setIdx, m.Tag); e >= 0 && t.pht[e].n > 0 {
-		t.pht[e].used = t.clock
-		t.ctr.hits.Inc()
-		for _, tg := range t.entryTargets(e) {
-			a := t.cfg.L1.Compose(tg, m.Index)
-			if t.cfg.L1.Block(m.Addr) == a {
-				continue // predicting the line that just missed is useless
-			}
-			reqs = append(reqs, prefetch.Request{Addr: a, ToL1: t.cfg.PrefetchToL1})
-			t.ctr.predictions.Inc()
-		}
+	if l, ok := t.dir.Find(t.phtIndex(row, m.Index)); ok {
+		reqs = t.lookup(reqs, l, m)
 	}
 
 	// Section 6 extension: per-set strided tag sequences predict
@@ -395,6 +398,27 @@ func (t *TCP) OnMiss(m trace.Miss) []prefetch.Request {
 		}
 	}
 	t.reqs = reqs
+	return reqs
+}
+
+// lookup appends to reqs the prefetches predicted by the PHT set at l for
+// miss m, whose tag ends the indexing sequence.
+func (t *TCP) lookup(reqs []prefetch.Request, l sparse.Loc, m trace.Miss) []prefetch.Request {
+	set := t.pht.At(l)
+	w := t.phtProbe(set, m.Tag)
+	if w < 0 || set[w].n == 0 {
+		return reqs
+	}
+	set[w].used = t.clock
+	t.ctr.hits.Inc()
+	for _, tg := range t.wayTargets(l, w)[:set[w].n] {
+		a := t.cfg.L1.Compose(tg, m.Index)
+		if t.cfg.L1.Block(m.Addr) == a {
+			continue // predicting the line that just missed is useless
+		}
+		reqs = append(reqs, prefetch.Request{Addr: a, ToL1: t.cfg.PrefetchToL1})
+		t.ctr.predictions.Inc()
+	}
 	return reqs
 }
 
@@ -432,16 +456,17 @@ func hasTarget(reqs []prefetch.Request, a addr.Addr) bool {
 	return false
 }
 
-// train records successor as the MRU target of entry e.
+// train records successor as the MRU target of entry e, whose target
+// slots are slots.
 //
 // Stored targets keep full tag width so the prefetch address can be
 // reconstructed exactly; the TagBits truncation applies to matching and to
 // the storage accounting, mirroring how a real implementation would store
 // only the bits needed to rebuild an address within the reachable region.
-func (t *TCP) train(e int, successor uint64) {
+func train(e *phtEntry, slots []uint64, successor uint64) {
 	// MRU-move in place: [successor] followed by the remaining targets in
-	// their previous order, capped at Targets.
-	targets := t.entryTargets(e)
+	// their previous order, capped at len(slots).
+	targets := slots[:e.n]
 	for i, s := range targets {
 		if s == successor {
 			copy(targets[1:i+1], targets[:i])
@@ -449,9 +474,9 @@ func (t *TCP) train(e int, successor uint64) {
 			return
 		}
 	}
-	if len(targets) < t.cfg.Targets {
-		t.pht[e].n++
-		targets = targets[:len(targets)+1]
+	if len(targets) < len(slots) {
+		e.n++
+		targets = slots[:e.n]
 	}
 	copy(targets[1:], targets)
 	targets[0] = successor
@@ -500,8 +525,7 @@ func (t *TCP) Reset() {
 	for i := range t.thtFill {
 		t.thtFill[i] = 0
 	}
-	clear(t.pht)
-	clear(t.targets)
+	t.dir.Reset()
 	t.clock = 0
 	for _, m := range t.ctr.metrics() {
 		m.(*telemetry.Counter).Store(0)

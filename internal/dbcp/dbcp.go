@@ -23,6 +23,7 @@ import (
 
 	"tagprefetch/internal/addr"
 	"tagprefetch/internal/prefetch"
+	"tagprefetch/internal/sparse"
 	"tagprefetch/internal/trace"
 )
 
@@ -60,13 +61,14 @@ func DBCP2M(l1 addr.Geometry) Config {
 
 // DBCP is the dead-block correlating prefetcher. Construct with New.
 type DBCP struct {
-	cfg     Config //tcp:nosnap configuration supplied at construction; Restore requires a same-config instance
+	cfg     Config
 	sigMask uint64 //tcp:nosnap geometry derived from cfg at construction
 	setMask uint64 //tcp:nosnap geometry derived from cfg at construction
 
-	shadow []shadowEntry // one per L1 set (direct-mapped)
-	keys   []uint64      // table entries' keys, set-major: one cache line per 8-way set
-	table  []corrEntry   // the rest of each entry, same order
+	shadow []shadowEntry           // one per L1 set (direct-mapped)
+	dir    sparse.Dir              // table set directory: a set is placed when first trained
+	keys   sparse.Store[uint64]    // placed sets' keys, Ways per set: one cache line per 8-way set
+	table  sparse.Store[corrEntry] // the rest of each entry, same order
 	clock  int64
 
 	// reqs is the scratch buffer OnAccess returns; per the Prefetcher
@@ -85,9 +87,11 @@ type shadowEntry struct {
 	valid bool
 }
 
-// corrEntry is a correlation-table entry minus its key: the full
-// (block, signature) key for exact matching sits in DBCP.keys, apart from
-// the rest, because every L1 access probes a set but few hit.
+// corrEntry is a correlation-table entry of a placed set, minus its key:
+// the full (block, signature) key for exact matching sits in DBCP.keys,
+// apart from the rest, because every L1 access probes a set but few hit.
+// A set never trained has no entries: DBCP.dir answers its probes without
+// touching either store, and DBCP-2M allocates only the sets a run trains.
 type corrEntry struct {
 	target addr.Addr
 	used   int64
@@ -118,8 +122,9 @@ func New(cfg Config) *DBCP {
 		sigMask: (1 << uint(cfg.SigBits)) - 1,
 		setMask: uint64(sets - 1),
 		shadow:  make([]shadowEntry, cfg.L1.Sets()),
-		keys:    make([]uint64, sets*cfg.Ways),
-		table:   make([]corrEntry, sets*cfg.Ways),
+		dir:     sparse.NewDir(sets),
+		keys:    sparse.NewStore[uint64](cfg.Ways),
+		table:   sparse.NewStore[corrEntry](cfg.Ways),
 		reqs:    make([]prefetch.Request, 1),
 	}
 }
@@ -144,24 +149,37 @@ func (d *DBCP) index(key uint64) uint64 {
 }
 
 // probe returns the table entry holding key, or nil. It compares keys
-// first, so a miss reads only the set's keys.
+// first, so a miss reads only the set's keys, and none if the set was never
+// trained.
 func (d *DBCP) probe(key uint64) *corrEntry {
-	base := int(d.index(key)) * d.cfg.Ways
-	keys := d.keys[base : base+d.cfg.Ways]
+	l, ok := d.dir.Find(d.index(key))
+	if !ok {
+		return nil
+	}
+	return d.match(l, key)
+}
+
+// match returns the entry holding key in the placed set at l, or nil.
+func (d *DBCP) match(l sparse.Loc, key uint64) *corrEntry {
+	keys := d.keys.At(l)
 	for i := range keys {
-		if keys[i] == key && d.table[base+i].valid {
-			return &d.table[base+i]
+		if keys[i] == key {
+			if e := &d.table.At(l)[i]; e.valid {
+				return e
+			}
 		}
 	}
 	return nil
 }
 
+// allocate returns the table entry holding key, allocating (LRU victim) if
+// absent. The set is placed if this is its first training.
 func (d *DBCP) allocate(key uint64) *corrEntry {
-	if e := d.probe(key); e != nil {
+	l := d.place(d.index(key))
+	if e := d.match(l, key); e != nil {
 		return e
 	}
-	base := int(d.index(key)) * d.cfg.Ways
-	set := d.table[base : base+d.cfg.Ways]
+	set := d.table.At(l)
 	victim := 0
 	for i := range set {
 		if !set[i].valid {
@@ -172,9 +190,20 @@ func (d *DBCP) allocate(key uint64) *corrEntry {
 			victim = i
 		}
 	}
-	d.keys[base+victim] = key
+	d.keys.At(l)[victim] = key
 	set[victim] = corrEntry{valid: true}
 	return &set[victim]
+}
+
+// place returns the location of table set set, placing it (with zero
+// entries) if it was never trained.
+func (d *DBCP) place(set uint64) sparse.Loc {
+	l, fresh := d.dir.Place(set)
+	if fresh {
+		d.keys.Add(&d.dir, l)
+		d.table.Add(&d.dir, l)
+	}
+	return l
 }
 
 // OnMiss implements prefetch.Prefetcher: learn the displaced block's death
@@ -243,8 +272,7 @@ func (d *DBCP) Reset() {
 	for i := range d.shadow {
 		d.shadow[i] = shadowEntry{}
 	}
-	clear(d.keys)
-	clear(d.table)
+	d.dir.Reset()
 	d.clock = 0
 	d.stats = Stats{}
 }

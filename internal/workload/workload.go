@@ -19,6 +19,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"tagprefetch/internal/xrand"
 )
@@ -148,7 +149,11 @@ func New(spec Spec, seed uint64) Generator {
 	return s
 }
 
+// withDefaults returns spec with zero fields defaulted. It never writes
+// through to the caller's Streams, which other goroutines may be reading
+// while they build generators from the same Spec.
 func withDefaults(spec Spec) Spec {
+	spec.Streams = slices.Clone(spec.Streams)
 	if spec.BodyLen <= 0 {
 		spec.BodyLen = 48
 	}

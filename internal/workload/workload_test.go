@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"tagprefetch/internal/xrand"
@@ -450,5 +452,28 @@ func TestLeakStreamsKeepMissRatesLow(t *testing.T) {
 		if mem == 0 {
 			t.Fatalf("%s: no memory ops", name)
 		}
+	}
+}
+
+// TestNewLeavesSpecUnchanged builds generators from one Spec in parallel
+// goroutines, as a grid runner does for every config of a bench. Defaults
+// must be applied to a copy: writing them into the caller's Streams races
+// with the other builders (go test -race) and changes the caller's Spec.
+func TestNewLeavesSpecUnchanged(t *testing.T) {
+	spec := Spec{Name: "defaults", MemFrac: 0.3, BranchFrac: 0.1,
+		Streams: []StreamSpec{{Kind: SweepKind}, {Kind: ChaseKind, Weight: 2}}}
+	want := slices.Clone(spec.Streams)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var in Inst
+			New(spec, 1).Next(&in)
+		}()
+	}
+	wg.Wait()
+	if !slices.Equal(spec.Streams, want) {
+		t.Errorf("New wrote defaults into the caller's Spec: %+v, want %+v", spec.Streams, want)
 	}
 }
