@@ -17,6 +17,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"runtime"
@@ -36,47 +37,54 @@ import (
 
 // main delegates to run so that error exits unwind normally: os.Exit would
 // skip the deferred profile flush and truncate -cpuprofile/-memprofile.
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tcpfigs", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp      = flag.String("exp", "all", "experiment id (table1, fig1..fig7, fig11..fig15, ablations, all)")
-		n        = flag.Uint64("n", 1_000_000, "measured instructions per run")
-		warm     = flag.Uint64("warmup", 2_000_000, "warmup instructions per run")
-		fidelity = flag.String("warmup-fidelity", "full", "warmup engine: full (cycle-accurate) or fast (functional fast-forward, docs/FASTFORWARD.md)")
-		seed     = flag.Uint64("seed", 1, "workload seed")
-		bench    = flag.String("benches", "", "comma-separated benchmark subset (default all 26)")
-		asCSV    = flag.Bool("csv", false, "emit table experiments as CSV instead of aligned text")
-		jobs     = flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation workers (1 = serial)")
+		exp      = fs.String("exp", "all", "experiment id (table1, fig1..fig7, fig11..fig15, ablations, all)")
+		n        = fs.Uint64("n", 1_000_000, "measured instructions per run")
+		warm     = fs.Uint64("warmup", 2_000_000, "warmup instructions per run")
+		fidelity = fs.String("warmup-fidelity", "full", "warmup engine: full (cycle-accurate) or fast (functional fast-forward, docs/FASTFORWARD.md)")
+		seed     = fs.Uint64("seed", 1, "workload seed")
+		bench    = fs.String("benches", "", "comma-separated benchmark subset (default all 26)")
+		asCSV    = fs.Bool("csv", false, "emit table experiments as CSV instead of aligned text")
+		jobs     = fs.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation workers (1 = serial)")
 
-		reportIn   = flag.String("report", "", "render a telemetry report (from tcpsim/tcpsweep -json) instead of running experiments")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write an allocation profile to this file")
+		reportIn   = fs.String("report", "", "render a telemetry report (from tcpsim/tcpsweep -json) instead of running experiments")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = fs.String("memprofile", "", "write an allocation profile to this file")
 
-		warmFork = flag.Bool("warmfork", false, "run every warmup under the no-prefetch baseline and fork grid points from one warm checkpoint per benchmark")
-		ckptDir  = flag.String("checkpoint-dir", "", "persist warm checkpoints and per-job result manifests in this directory")
-		resume   = flag.Bool("resume", false, "answer already-completed jobs from -checkpoint-dir manifests instead of re-simulating")
+		warmFork = fs.Bool("warmfork", false, "run every warmup under the no-prefetch baseline and fork grid points from one warm checkpoint per benchmark")
+		ckptDir  = fs.String("checkpoint-dir", "", "persist warm checkpoints and per-job result manifests in this directory")
+		resume   = fs.Bool("resume", false, "answer already-completed jobs from -checkpoint-dir manifests instead of re-simulating")
 
-		workers  = flag.Int("workers", 0, "join a distributed run splitting this grid over -checkpoint-dir (the value is advisory: any number of workers may cooperate)")
-		workerID = flag.String("worker-id", "", "unique id for this worker in a distributed run (default hostname-pid; requires -workers)")
-		leaseTTL = flag.Duration("lease-ttl", 30*time.Second, "heartbeat staleness horizon before a crashed worker's job leases may be stolen")
-		gather   = flag.Bool("gather", false, "assemble a completed distributed run from -checkpoint-dir manifests without simulating; errors if any job is missing")
+		workers  = fs.Int("workers", 0, "join a distributed run splitting this grid over -checkpoint-dir (the value is advisory: any number of workers may cooperate)")
+		workerID = fs.String("worker-id", "", "unique id for this worker in a distributed run (default hostname-pid; requires -workers)")
+		leaseTTL = fs.Duration("lease-ttl", 30*time.Second, "heartbeat staleness horizon before a crashed worker's job leases may be stolen")
+		gather   = fs.Bool("gather", false, "assemble a completed distributed run from -checkpoint-dir manifests without simulating; errors if any job is missing")
 
-		statusAddr = flag.String("status-addr", "", "serve live fleet status over -checkpoint-dir on this address (/status JSON, /events SSE, /metrics Prometheus) while experiments run")
-		flight     = flag.Bool("flight", true, "record claim-protocol events to per-job flight logs in -checkpoint-dir (worker mode; replay with tcpstatus -timeline)")
+		statusAddr = fs.String("status-addr", "", "serve live fleet status over -checkpoint-dir on this address (/status JSON, /events SSE, /metrics Prometheus) while experiments run")
+		flight     = fs.Bool("flight", true, "record claim-protocol events to per-job flight logs in -checkpoint-dir (worker mode; replay with tcpstatus -timeline)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcpfigs:", err)
+		fmt.Fprintln(stderr, "tcpfigs:", err)
 		return 1
 	}
 	defer stopProf()
 
 	if *reportIn != "" {
-		if err := renderReport(*reportIn, *asCSV); err != nil {
-			fmt.Fprintln(os.Stderr, "tcpfigs:", err)
+		if err := renderReport(stdout, *reportIn, *asCSV); err != nil {
+			fmt.Fprintln(stderr, "tcpfigs:", err)
 			return 1
 		}
 		return 0
@@ -84,34 +92,34 @@ func run() int {
 
 	fid, err := sim.ParseFidelity(*fidelity)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcpfigs: -warmup-fidelity:", err)
+		fmt.Fprintln(stderr, "tcpfigs: -warmup-fidelity:", err)
 		return 2
 	}
 	if err := (sim.Config{Instructions: *n, Warmup: *warm, Seed: *seed,
 		WarmupFidelity: fid}).Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "tcpfigs:", err)
+		fmt.Fprintln(stderr, "tcpfigs:", err)
 		return 2
 	}
 	workerMode := *workers > 0 || *workerID != ""
 	if err := distrib.ValidateWorkerFlags(*workers, *workerID, *leaseTTL); err != nil {
-		fmt.Fprintln(os.Stderr, "tcpfigs:", err)
+		fmt.Fprintln(stderr, "tcpfigs:", err)
 		return 2
 	}
 	switch {
 	case *resume && *ckptDir == "":
-		fmt.Fprintln(os.Stderr, "tcpfigs: -resume requires -checkpoint-dir")
+		fmt.Fprintln(stderr, "tcpfigs: -resume requires -checkpoint-dir")
 		return 2
 	case workerMode && *ckptDir == "":
-		fmt.Fprintln(os.Stderr, "tcpfigs: -workers/-worker-id require -checkpoint-dir (the shared directory is the coordination medium)")
+		fmt.Fprintln(stderr, "tcpfigs: -workers/-worker-id require -checkpoint-dir (the shared directory is the coordination medium)")
 		return 2
 	case *gather && *ckptDir == "":
-		fmt.Fprintln(os.Stderr, "tcpfigs: -gather requires -checkpoint-dir")
+		fmt.Fprintln(stderr, "tcpfigs: -gather requires -checkpoint-dir")
 		return 2
 	case *gather && workerMode:
-		fmt.Fprintln(os.Stderr, "tcpfigs: -gather and -workers are mutually exclusive (gather assembles after the workers finish)")
+		fmt.Fprintln(stderr, "tcpfigs: -gather and -workers are mutually exclusive (gather assembles after the workers finish)")
 		return 2
 	case *statusAddr != "" && *ckptDir == "":
-		fmt.Fprintln(os.Stderr, "tcpfigs: -status-addr requires -checkpoint-dir (status is read from the shared directory)")
+		fmt.Fprintln(stderr, "tcpfigs: -status-addr requires -checkpoint-dir (status is read from the shared directory)")
 		return 2
 	}
 
@@ -139,7 +147,7 @@ func run() int {
 			Instructions: *n, Warmup: *warm, WarmupFidelity: fidDesc,
 			Seed: *seed, Benches: benches, WarmFork: *warmFork}
 		if err := experiment.EnsureGrid(*ckptDir, desc, !*resume && !workerMode && !*gather); err != nil {
-			fmt.Fprintln(os.Stderr, "tcpfigs:", err)
+			fmt.Fprintln(stderr, "tcpfigs:", err)
 			var gm *experiment.GridMismatchError
 			if errors.As(err, &gm) {
 				return 2
@@ -149,7 +157,7 @@ func run() int {
 		o.Runner.SetCheckpointDir(*ckptDir)
 		store, err := experiment.NewResultStore(*ckptDir, *resume || workerMode || *gather)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcpfigs:", err)
+			fmt.Fprintln(stderr, "tcpfigs:", err)
 			return 1
 		}
 		o.Runner.SetResultStore(store)
@@ -165,7 +173,7 @@ func run() int {
 			}
 			claims, err = distrib.NewStore(*ckptDir, id, *leaseTTL, nil)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "tcpfigs:", err)
+				fmt.Fprintln(stderr, "tcpfigs:", err)
 				return 1
 			}
 			if *flight {
@@ -182,10 +190,10 @@ func run() int {
 			srv := fleetobs.NewServer(*ckptDir, nil, 0)
 			ln, err := net.Listen("tcp", *statusAddr)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "tcpfigs:", err)
+				fmt.Fprintln(stderr, "tcpfigs:", err)
 				return 1
 			}
-			fmt.Fprintf(os.Stderr, "tcpfigs: fleet status on http://%s\n", ln.Addr())
+			fmt.Fprintf(stderr, "tcpfigs: fleet status on http://%s\n", ln.Addr())
 			go srv.Serve(ln) //nolint:errcheck // listener failure only loses the status view
 			defer srv.Close()
 		}
@@ -200,19 +208,19 @@ func run() int {
 	bad := false
 	emit := func(t *stats.Table) {
 		if *asCSV {
-			if err := t.WriteCSV(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "tcpfigs:", err)
+			if err := t.WriteCSV(stdout); err != nil {
+				fmt.Fprintln(stderr, "tcpfigs:", err)
 				bad = true
 			}
 			return
 		}
-		t.WriteTo(os.Stdout) //nolint:errcheck
+		t.WriteTo(stdout) //nolint:errcheck
 	}
 
 	var prof map[string]profiler.Summary
 	needProfile := func() map[string]profiler.Summary {
 		if prof == nil {
-			fmt.Fprintln(os.Stderr, "tcpfigs: profiling miss streams (shared across fig2-7, fig15)...")
+			fmt.Fprintln(stderr, "tcpfigs: profiling miss streams (shared across fig2-7, fig15)...")
 			prof = experiment.ProfileAll(o)
 		}
 		return prof
@@ -253,13 +261,13 @@ func run() int {
 		case "fig12":
 			emit(experiment.Fig12Traffic(o))
 		case "fig13a":
-			fmt.Println("== Figure 13 (top): mean IPC vs PHT size ==")
+			fmt.Fprintln(stdout, "== Figure 13 (top): mean IPC vs PHT size ==")
 			for _, s := range experiment.Fig13PHTSize(o) {
-				fmt.Println(s.String())
+				fmt.Fprintln(stdout, s.String())
 			}
 		case "fig13b":
-			fmt.Println("== Figure 13 (bottom): mean IPC vs miss-index bits ==")
-			fmt.Println(experiment.Fig13IndexBits(o).String())
+			fmt.Fprintln(stdout, "== Figure 13 (bottom): mean IPC vs miss-index bits ==")
+			fmt.Fprintln(stdout, experiment.Fig13IndexBits(o).String())
 		case "fig14":
 			emit(experiment.Fig14Hybrid(o))
 		case "fig15":
@@ -267,16 +275,16 @@ func run() int {
 		case "coverage":
 			emit(experiment.CoverageComparison(o))
 		case "ablations":
-			fmt.Println("== Ablations (DESIGN.md A1-A5) ==")
-			fmt.Println(experiment.AblationTHTDepth(o).String())
-			fmt.Println(experiment.AblationPHTAssoc(o).String())
-			fmt.Println(experiment.AblationHashing(o).String())
-			fmt.Println(experiment.AblationMultiTarget(o).String())
+			fmt.Fprintln(stdout, "== Ablations (DESIGN.md A1-A5) ==")
+			fmt.Fprintln(stdout, experiment.AblationTHTDepth(o).String())
+			fmt.Fprintln(stdout, experiment.AblationPHTAssoc(o).String())
+			fmt.Fprintln(stdout, experiment.AblationHashing(o).String())
+			fmt.Fprintln(stdout, experiment.AblationMultiTarget(o).String())
 			emit(experiment.AblationClassicBaselines(o))
 			emit(experiment.AblationCriticalFilter(o))
 			emit(experiment.AblationStrideAssist(o))
 			emit(experiment.AblationPlacement(o))
-			fmt.Println(experiment.AblationBranchPredictors(o).String())
+			fmt.Fprintln(stdout, experiment.AblationBranchPredictors(o).String())
 		default:
 			return fmt.Errorf("unknown experiment %q", id)
 		}
@@ -285,13 +293,13 @@ func run() int {
 
 	for _, id := range ids {
 		if err := runExp(id); err != nil {
-			fmt.Fprintln(os.Stderr, "tcpfigs:", err)
+			fmt.Fprintln(stderr, "tcpfigs:", err)
 			var ige *experiment.IncompleteGridError
 			if errors.As(err, &ige) {
 				// List every discovered hole and its last-known holder so
 				// the operator knows which worker to restart.
-				if herr := fleetobs.WriteHoles(os.Stderr, *ckptDir); herr != nil {
-					fmt.Fprintln(os.Stderr, "tcpfigs:", herr)
+				if herr := fleetobs.WriteHoles(stderr, *ckptDir); herr != nil {
+					fmt.Fprintln(stderr, "tcpfigs:", herr)
 				}
 				return 1
 			}
@@ -300,22 +308,22 @@ func run() int {
 		if bad {
 			return 1
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if simulated, reused := o.Runner.BaselineStats(); reused > 0 {
-		fmt.Fprintf(os.Stderr, "tcpfigs: baseline cache: %d simulated, %d reused\n",
+		fmt.Fprintf(stderr, "tcpfigs: baseline cache: %d simulated, %d reused\n",
 			simulated, reused)
 	}
 	if warmups, forks := o.Runner.WarmForkStats(); forks > 0 {
-		fmt.Fprintf(os.Stderr, "tcpfigs: warm fork: %d warmups simulated, %d grid points forked\n",
+		fmt.Fprintf(stderr, "tcpfigs: warm fork: %d warmups simulated, %d grid points forked\n",
 			warmups, forks)
 	}
 	if hits := o.Runner.StoreStats(); hits > 0 {
-		fmt.Fprintf(os.Stderr, "tcpfigs: %d jobs answered from result manifests\n", hits)
+		fmt.Fprintf(stderr, "tcpfigs: %d jobs answered from result manifests\n", hits)
 	}
 	if claims != nil {
 		st := claims.Stats()
-		fmt.Fprintf(os.Stderr, "tcpfigs: worker %s: %d claimed, %d conflicts, %d stolen (%d races), %d heartbeats, %d lost, %d waits\n",
+		fmt.Fprintf(stderr, "tcpfigs: worker %s: %d claimed, %d conflicts, %d stolen (%d races), %d heartbeats, %d lost, %d waits\n",
 			claims.Worker(), st.Claims, st.ClaimConflicts, st.Steals, st.StealRaces,
 			st.Heartbeats, st.LeasesLost, st.WaitPolls)
 	}
@@ -324,21 +332,21 @@ func run() int {
 
 // renderReport prints a telemetry report written by `tcpsim -json` or
 // `tcpsweep -json` as the same table/series text the experiments emit.
-func renderReport(path string, asCSV bool) error {
+func renderReport(stdout io.Writer, path string, asCSV bool) error {
 	rep, err := telemetry.ReadReportFile(path)
 	if err != nil {
 		return err
 	}
 	emit := func(t *stats.Table) error {
 		if asCSV {
-			return t.WriteCSV(os.Stdout)
+			return t.WriteCSV(stdout)
 		}
-		t.WriteTo(os.Stdout) //nolint:errcheck
-		fmt.Println()
+		t.WriteTo(stdout) //nolint:errcheck
+		fmt.Fprintln(stdout)
 		return nil
 	}
 
-	fmt.Printf("report: tool=%s schema=%s runs=%d sweeps=%d tables=%d\n\n",
+	fmt.Fprintf(stdout, "report: tool=%s schema=%s runs=%d sweeps=%d tables=%d\n\n",
 		rep.Tool, rep.Schema, len(rep.Runs), len(rep.Sweeps), len(rep.Tables))
 
 	for _, run := range rep.Runs {
@@ -372,22 +380,22 @@ func renderReport(path string, asCSV bool) error {
 			}
 		}
 		for _, ph := range run.Phases {
-			fmt.Printf("phase %-8s at cycle %d (instruction %d)\n",
+			fmt.Fprintf(stdout, "phase %-8s at cycle %d (instruction %d)\n",
 				ph.Name, ph.Cycle, ph.Instructions)
 		}
 		if run.TraceWritten > 0 || run.TraceDropped > 0 {
-			fmt.Printf("trace: %d events written, %d dropped\n",
+			fmt.Fprintf(stdout, "trace: %d events written, %d dropped\n",
 				run.TraceWritten, run.TraceDropped)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	for _, sw := range rep.Sweeps {
 		s := stats.Series{Name: sw.Name, Labels: sw.Labels, Values: sw.Values}
-		fmt.Println(s.String())
+		fmt.Fprintln(stdout, s.String())
 	}
 	if len(rep.Sweeps) > 0 {
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	for _, td := range rep.Tables {
@@ -400,7 +408,7 @@ func renderReport(path string, asCSV bool) error {
 		}
 	}
 	if rep.GeomeanClamped > 0 {
-		fmt.Printf("warning: %d non-positive geomean inputs were clamped\n",
+		fmt.Fprintf(stdout, "warning: %d non-positive geomean inputs were clamped\n",
 			rep.GeomeanClamped)
 	}
 	return nil

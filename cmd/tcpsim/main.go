@@ -15,8 +15,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -66,43 +68,50 @@ func factory(name string, phtBytes, nbits int) (sim.Factory, error) {
 // main delegates to run so that error exits unwind normally: os.Exit would
 // skip the deferred profile flush and trace close, truncating
 // -cpuprofile/-memprofile/-trace output.
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tcpsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		bench    = flag.String("bench", "all", "SPEC2000 benchmark name, or 'all'")
-		pfName   = flag.String("pf", "none", "prefetcher: none|tcp8k|tcp8m|hybrid8k|dbcp2m|stride|stream|markov|ghb|nextline|tcp")
-		pht      = flag.Int("pht", 8192, "PHT bytes for -pf tcp")
-		nbits    = flag.Int("nbits", 0, "miss-index bits in the PHT index for -pf tcp")
-		n        = flag.Uint64("n", 1_000_000, "measured instructions")
-		warm     = flag.Uint64("warmup", 0, "warmup instructions (default n/2)")
-		fidelity = flag.String("warmup-fidelity", "full", "warmup engine: full (cycle-accurate) or fast (functional fast-forward, docs/FASTFORWARD.md)")
-		ideal    = flag.Bool("ideal", false, "ideal L2 (every L2 access hits)")
-		seed     = flag.Uint64("seed", 1, "workload seed")
-		list     = flag.Bool("list", false, "list benchmark models and exit")
-		jobs     = flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation workers across benchmarks (1 = serial)")
+		bench    = fs.String("bench", "all", "SPEC2000 benchmark name, or 'all'")
+		pfName   = fs.String("pf", "none", "prefetcher: none|tcp8k|tcp8m|hybrid8k|dbcp2m|stride|stream|markov|ghb|nextline|tcp")
+		pht      = fs.Int("pht", 8192, "PHT bytes for -pf tcp")
+		nbits    = fs.Int("nbits", 0, "miss-index bits in the PHT index for -pf tcp")
+		n        = fs.Uint64("n", 1_000_000, "measured instructions")
+		warm     = fs.Uint64("warmup", 0, "warmup instructions (default n/2)")
+		fidelity = fs.String("warmup-fidelity", "full", "warmup engine: full (cycle-accurate) or fast (functional fast-forward, docs/FASTFORWARD.md)")
+		ideal    = fs.Bool("ideal", false, "ideal L2 (every L2 access hits)")
+		seed     = fs.Uint64("seed", 1, "workload seed")
+		list     = fs.Bool("list", false, "list benchmark models and exit")
+		jobs     = fs.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation workers across benchmarks (1 = serial)")
 
-		jsonOut    = flag.String("json", "", "write a machine-readable run report (metrics, time series, phases) to this file")
-		sample     = flag.Int64("sample", 10_000, "time-series sampling interval in cycles (with -json/-progress)")
-		traceOut   = flag.String("trace", "", "write structured events (JSONL) to this file")
-		traceLevel = flag.String("trace-level", "info", "minimum event level: debug|info")
-		traceMax   = flag.Uint64("trace-max", 1<<20, "cap on traced events (0 = unlimited)")
-		progress   = flag.Uint64("progress", 0, "print a heartbeat to stderr every N million instructions")
-		statusAddr = flag.String("status-addr", "", "serve the running benchmarks' live metric registries as Prometheus text on this address (/metrics)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write an allocation profile to this file")
+		jsonOut    = fs.String("json", "", "write a machine-readable run report (metrics, time series, phases) to this file")
+		sample     = fs.Int64("sample", 10_000, "time-series sampling interval in cycles (with -json/-progress)")
+		traceOut   = fs.String("trace", "", "write structured events (JSONL) to this file")
+		traceLevel = fs.String("trace-level", "info", "minimum event level: debug|info")
+		traceMax   = fs.Uint64("trace-max", 1<<20, "cap on traced events (0 = unlimited)")
+		progress   = fs.Uint64("progress", 0, "print a heartbeat to stderr every N million instructions")
+		statusAddr = fs.String("status-addr", "", "serve the running benchmarks' live metric registries as Prometheus text on this address (/metrics)")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = fs.String("memprofile", "", "write an allocation profile to this file")
 
-		l1Geom      = flag.String("l1", "", "L1 dcache geometry as sizeBytes:ways:blockBytes (default Table 1)")
-		l2Geom      = flag.String("l2", "", "L2 cache geometry as sizeBytes:ways:blockBytes (default Table 1)")
-		savePath    = flag.String("save", "", "write a warm-state checkpoint to this file (single -bench only)")
-		saveAt      = flag.Uint64("save-at", 0, "instruction count at which -save snapshots; unset defaults to the warmup/measure boundary, an explicit 0 snapshots the initial state")
-		restorePath = flag.String("restore", "", "restore machine state from a checkpoint file and continue (single -bench only)")
+		l1Geom      = fs.String("l1", "", "L1 dcache geometry as sizeBytes:ways:blockBytes (default Table 1)")
+		l2Geom      = fs.String("l2", "", "L2 cache geometry as sizeBytes:ways:blockBytes (default Table 1)")
+		savePath    = fs.String("save", "", "write a warm-state checkpoint to this file (single -bench only)")
+		saveAt      = fs.Uint64("save-at", 0, "instruction count at which -save snapshots; unset defaults to the warmup/measure boundary, an explicit 0 snapshots the initial state")
+		restorePath = fs.String("restore", "", "restore machine state from a checkpoint file and continue (single -bench only)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	// -save-at 0 is a real position (the pre-warmup initial state), not the
 	// boundary default, so the default is keyed on set-ness rather than value.
 	saveAtSet := false
-	flag.Visit(func(fl *flag.Flag) {
+	fs.Visit(func(fl *flag.Flag) {
 		if fl.Name == "save-at" {
 			saveAtSet = true
 		}
@@ -110,7 +119,7 @@ func run() int {
 
 	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcpsim:", err)
+		fmt.Fprintln(stderr, "tcpsim:", err)
 		return 1
 	}
 	defer stopProf()
@@ -118,7 +127,7 @@ func run() int {
 	if *list {
 		for _, b := range workload.Names() {
 			spec, _ := workload.Spec2000(b)
-			fmt.Printf("%-10s body=%-4d mem=%.2f streams=%d\n",
+			fmt.Fprintf(stdout, "%-10s body=%-4d mem=%.2f streams=%d\n",
 				b, spec.BodyLen, spec.MemFrac, len(spec.Streams))
 		}
 		return 0
@@ -126,12 +135,12 @@ func run() int {
 
 	f, err := factory(*pfName, *pht, *nbits)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcpsim:", err)
+		fmt.Fprintln(stderr, "tcpsim:", err)
 		return 2
 	}
 	fid, err := sim.ParseFidelity(*fidelity)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcpsim: -warmup-fidelity:", err)
+		fmt.Fprintln(stderr, "tcpsim: -warmup-fidelity:", err)
 		return 2
 	}
 	cfg := sim.Config{
@@ -144,7 +153,7 @@ func run() int {
 	if *l1Geom != "" {
 		g, err := parseGeometry(*l1Geom)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcpsim: -l1:", err)
+			fmt.Fprintln(stderr, "tcpsim: -l1:", err)
 			return 2
 		}
 		cfg.Mem.L1D = g
@@ -152,13 +161,13 @@ func run() int {
 	if *l2Geom != "" {
 		g, err := parseGeometry(*l2Geom)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcpsim: -l2:", err)
+			fmt.Fprintln(stderr, "tcpsim: -l2:", err)
 			return 2
 		}
 		cfg.Mem.L2 = g
 	}
 	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "tcpsim:", err)
+		fmt.Fprintln(stderr, "tcpsim:", err)
 		return 2
 	}
 	// Validate -save-at against the run's end while the flag is still in
@@ -167,7 +176,7 @@ func run() int {
 	if saveAtSet {
 		total := cfg.Normalized().Warmup + cfg.Normalized().Instructions
 		if *saveAt > total {
-			fmt.Fprintf(os.Stderr, "tcpsim: -save-at %d is past the end of the run (warmup %d + measured %d = %d instructions)\n",
+			fmt.Fprintf(stderr, "tcpsim: -save-at %d is past the end of the run (warmup %d + measured %d = %d instructions)\n",
 				*saveAt, cfg.Normalized().Warmup, cfg.Normalized().Instructions, total)
 			return 2
 		}
@@ -176,7 +185,7 @@ func run() int {
 	benches := workload.Names()
 	if *bench != "all" {
 		if _, err := workload.Spec2000(*bench); err != nil {
-			fmt.Fprintln(os.Stderr, "tcpsim:", err)
+			fmt.Fprintln(stderr, "tcpsim:", err)
 			return 2
 		}
 		benches = []string{*bench}
@@ -189,13 +198,13 @@ func run() int {
 	if *traceOut != "" {
 		tf, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcpsim:", err)
+			fmt.Fprintln(stderr, "tcpsim:", err)
 			return 1
 		}
 		defer tf.Close()
 		lvl, err := telemetry.ParseLevel(*traceLevel)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcpsim:", err)
+			fmt.Fprintln(stderr, "tcpsim:", err)
 			return 2
 		}
 		tracer = telemetry.NewTracer(tf, telemetry.TracerOptions{
@@ -227,7 +236,7 @@ func run() int {
 			tracer.Emit(telemetry.Event{Type: "run.start",
 				Level: telemetry.LevelInfo, Note: b})
 			if *progress > 0 {
-				installProgress(tRun.Sampler, b, *progress)
+				installProgress(stderr, tRun.Sampler, b, *progress)
 			}
 		}
 		simJobs[i] = experiment.Job{Bench: b, Factory: f, Config: runCfg}
@@ -238,7 +247,7 @@ func run() int {
 	if *statusAddr != "" {
 		ln, err := net.Listen("tcp", *statusAddr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcpsim:", err)
+			fmt.Fprintln(stderr, "tcpsim:", err)
 			return 1
 		}
 		mux := http.NewServeMux()
@@ -254,7 +263,7 @@ func run() int {
 			}
 			return sets
 		}))
-		fmt.Fprintf(os.Stderr, "tcpsim: metrics on http://%s/metrics\n", ln.Addr())
+		fmt.Fprintf(stderr, "tcpsim: metrics on http://%s/metrics\n", ln.Addr())
 		srv := &http.Server{Handler: mux}
 		go srv.Serve(ln) //nolint:errcheck // listener failure only loses the metrics view
 		defer srv.Close()
@@ -263,14 +272,14 @@ func run() int {
 	var results []sim.Result
 	if *savePath != "" || saveAtSet || *restorePath != "" {
 		if *savePath == "" && saveAtSet {
-			fmt.Fprintln(os.Stderr, "tcpsim: -save-at requires -save FILE")
+			fmt.Fprintln(stderr, "tcpsim: -save-at requires -save FILE")
 			return 2
 		}
 		if len(benches) != 1 {
-			fmt.Fprintln(os.Stderr, "tcpsim: -save/-restore need a single benchmark (-bench NAME, not all)")
+			fmt.Fprintln(stderr, "tcpsim: -save/-restore need a single benchmark (-bench NAME, not all)")
 			return 2
 		}
-		r, code := runCheckpointed(benches[0], f, simJobs[0].Config, *savePath, *saveAt, saveAtSet, *restorePath)
+		r, code := runCheckpointed(stderr, benches[0], f, simJobs[0].Config, *savePath, *saveAt, saveAtSet, *restorePath)
 		if code != 0 {
 			return code
 		}
@@ -305,22 +314,22 @@ func run() int {
 			fmt.Sprintf("%.1f", mis),
 		)
 	}
-	tab.WriteTo(os.Stdout) //nolint:errcheck
+	tab.WriteTo(stdout) //nolint:errcheck
 
 	if *jsonOut != "" {
 		report.GeomeanClamped = stats.GeomeanClampCount()
 		if err := report.WriteFile(*jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "tcpsim:", err)
+			fmt.Fprintln(stderr, "tcpsim:", err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "tcpsim: report written to %s\n", *jsonOut)
+		fmt.Fprintf(stderr, "tcpsim: report written to %s\n", *jsonOut)
 	}
 	return 0
 }
 
 // installProgress prints an instructions-retired/IPC heartbeat to stderr
 // every N million instructions, piggybacking on the run's cycle sampler.
-func installProgress(s *telemetry.Sampler, bench string, everyMillion uint64) {
+func installProgress(stderr io.Writer, s *telemetry.Sampler, bench string, everyMillion uint64) {
 	every := everyMillion * 1_000_000
 	var next = every
 	s.OnSample(func(cycle int64, instructions uint64, _ []float64) {
@@ -332,7 +341,7 @@ func installProgress(s *telemetry.Sampler, bench string, everyMillion uint64) {
 		if cycle > 0 {
 			ipc = float64(instructions) / float64(cycle)
 		}
-		fmt.Fprintf(os.Stderr, "tcpsim: %s %dM instructions, %d cycles, IPC %.3f\n",
+		fmt.Fprintf(stderr, "tcpsim: %s %dM instructions, %d cycles, IPC %.3f\n",
 			bench, instructions/1_000_000, cycle, ipc)
 	})
 }
@@ -343,29 +352,29 @@ func installProgress(s *telemetry.Sampler, bench string, everyMillion uint64) {
 // uninterrupted run, so the printed table matches either way. saveAtSet
 // distinguishes an explicit -save-at 0 (snapshot the initial state) from the
 // flag being absent (snapshot at the warmup/measure boundary).
-func runCheckpointed(bench string, f sim.Factory, cfg sim.Config,
+func runCheckpointed(stderr io.Writer, bench string, f sim.Factory, cfg sim.Config,
 	savePath string, saveAt uint64, saveAtSet bool, restorePath string) (sim.Result, int) {
 	spec, err := workload.Spec2000(bench)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcpsim:", err)
+		fmt.Fprintln(stderr, "tcpsim:", err)
 		return sim.Result{}, 2
 	}
 	m, err := sim.NewMachine(spec, f, cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcpsim:", err)
+		fmt.Fprintln(stderr, "tcpsim:", err)
 		return sim.Result{}, 2
 	}
 	if restorePath != "" {
 		data, err := checkpoint.ReadFile(restorePath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcpsim:", err)
+			fmt.Fprintln(stderr, "tcpsim:", err)
 			return sim.Result{}, 1
 		}
 		if err := m.RestoreImage(data); err != nil {
-			fmt.Fprintln(os.Stderr, "tcpsim: restore:", err)
+			fmt.Fprintln(stderr, "tcpsim: restore:", err)
 			return sim.Result{}, 1
 		}
-		fmt.Fprintf(os.Stderr, "tcpsim: restored %s at instruction %d of %d\n",
+		fmt.Fprintf(stderr, "tcpsim: restored %s at instruction %d of %d\n",
 			restorePath, m.Position(), m.Total())
 	}
 	if savePath != "" {
@@ -374,21 +383,21 @@ func runCheckpointed(bench string, f sim.Factory, cfg sim.Config,
 			at = saveAt
 		}
 		if at < m.Position() {
-			fmt.Fprintf(os.Stderr, "tcpsim: -save-at %d is before the current position %d\n",
+			fmt.Fprintf(stderr, "tcpsim: -save-at %d is before the current position %d\n",
 				at, m.Position())
 			return sim.Result{}, 2
 		}
 		m.RunTo(at)
 		img, err := m.Checkpoint()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcpsim: checkpoint:", err)
+			fmt.Fprintln(stderr, "tcpsim: checkpoint:", err)
 			return sim.Result{}, 1
 		}
 		if err := checkpoint.WriteFile(savePath, img); err != nil {
-			fmt.Fprintln(os.Stderr, "tcpsim:", err)
+			fmt.Fprintln(stderr, "tcpsim:", err)
 			return sim.Result{}, 1
 		}
-		fmt.Fprintf(os.Stderr, "tcpsim: checkpoint (%d bytes) written to %s at instruction %d\n",
+		fmt.Fprintf(stderr, "tcpsim: checkpoint (%d bytes) written to %s at instruction %d\n",
 			len(img), savePath, m.Position())
 	}
 	return m.Run(), 0

@@ -17,8 +17,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"time"
@@ -27,23 +29,30 @@ import (
 	"tagprefetch/internal/fleetobs"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tcpstatus", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		dir      = flag.String("dir", "", "shared checkpoint directory of the sweep (or pass it as the positional argument)")
-		jsonOut  = flag.Bool("json", false, "print the snapshot as indented JSON instead of tables")
-		watch    = flag.Bool("watch", false, "redraw the status view every -interval until interrupted")
-		interval = flag.Duration("interval", 2*time.Second, "refresh cadence for -watch")
-		timeline = flag.Bool("timeline", false, "render the merged flight-recorder timeline instead of current status")
-		addr     = flag.String("status-addr", "", "serve /status, /events and /metrics on this address instead of printing")
+		dir      = fs.String("dir", "", "shared checkpoint directory of the sweep (or pass it as the positional argument)")
+		jsonOut  = fs.Bool("json", false, "print the snapshot as indented JSON instead of tables")
+		watch    = fs.Bool("watch", false, "redraw the status view every -interval until interrupted")
+		interval = fs.Duration("interval", 2*time.Second, "refresh cadence for -watch")
+		timeline = fs.Bool("timeline", false, "render the merged flight-recorder timeline instead of current status")
+		addr     = fs.String("status-addr", "", "serve /status, /events and /metrics on this address instead of printing")
 	)
-	flag.Parse()
-	if *dir == "" && flag.NArg() == 1 {
-		*dir = flag.Arg(0)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	if *dir == "" || flag.NArg() > 1 {
-		fmt.Fprintln(os.Stderr, "usage: tcpstatus [-json|-watch|-timeline|-status-addr addr] -dir <checkpoint-dir>")
+	if *dir == "" && fs.NArg() == 1 {
+		*dir = fs.Arg(0)
+	}
+	if *dir == "" || fs.NArg() > 1 {
+		fmt.Fprintln(stderr, "usage: tcpstatus [-json|-watch|-timeline|-status-addr addr] -dir <checkpoint-dir>")
 		return 2
 	}
 	modes := 0
@@ -53,7 +62,7 @@ func run() int {
 		}
 	}
 	if modes > 1 {
-		fmt.Fprintln(os.Stderr, "tcpstatus: -json, -watch, -timeline and -status-addr are mutually exclusive")
+		fmt.Fprintln(stderr, "tcpstatus: -json, -watch, -timeline and -status-addr are mutually exclusive")
 		return 2
 	}
 
@@ -65,32 +74,32 @@ func run() int {
 
 	switch {
 	case *timeline:
-		if err := fleetobs.WriteTimeline(os.Stdout, *dir); err != nil {
-			fmt.Fprintln(os.Stderr, "tcpstatus:", err)
+		if err := fleetobs.WriteTimeline(stdout, *dir); err != nil {
+			fmt.Fprintln(stderr, "tcpstatus:", err)
 			return 1
 		}
 	case *addr != "":
 		srv := fleetobs.NewServer(*dir, clock, 0)
 		ln, err := net.Listen("tcp", *addr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcpstatus:", err)
+			fmt.Fprintln(stderr, "tcpstatus:", err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "tcpstatus: fleet status on http://%s\n", ln.Addr())
+		fmt.Fprintf(stderr, "tcpstatus: fleet status on http://%s\n", ln.Addr())
 		if err := srv.Serve(ln); err != nil {
-			fmt.Fprintln(os.Stderr, "tcpstatus:", err)
+			fmt.Fprintln(stderr, "tcpstatus:", err)
 			return 1
 		}
 	case *watch:
 		for {
 			snap, err := fleetobs.Scan(*dir, clock)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "tcpstatus:", err)
+				fmt.Fprintln(stderr, "tcpstatus:", err)
 				return 1
 			}
 			// Clear the terminal and redraw in place.
-			fmt.Print("\x1b[2J\x1b[H")
-			fleetobs.Render(os.Stdout, snap) //nolint:errcheck // stdout gone ends the loop below anyway
+			fmt.Fprint(stdout, "\x1b[2J\x1b[H")
+			fleetobs.Render(stdout, snap) //nolint:errcheck // stdout gone ends the loop below anyway
 			d := *interval
 			if d <= 0 {
 				d = 2 * time.Second
@@ -100,20 +109,20 @@ func run() int {
 	default:
 		snap, err := fleetobs.Scan(*dir, clock)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcpstatus:", err)
+			fmt.Fprintln(stderr, "tcpstatus:", err)
 			return 1
 		}
 		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
+			enc := json.NewEncoder(stdout)
 			enc.SetIndent("", "  ")
 			if err := enc.Encode(snap); err != nil {
-				fmt.Fprintln(os.Stderr, "tcpstatus:", err)
+				fmt.Fprintln(stderr, "tcpstatus:", err)
 				return 1
 			}
 			return 0
 		}
-		if err := fleetobs.Render(os.Stdout, snap); err != nil {
-			fmt.Fprintln(os.Stderr, "tcpstatus:", err)
+		if err := fleetobs.Render(stdout, snap); err != nil {
+			fmt.Fprintln(stderr, "tcpstatus:", err)
 			return 1
 		}
 	}

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"runtime"
@@ -39,73 +40,80 @@ import (
 
 // main delegates to run so that error exits unwind normally: os.Exit would
 // skip the deferred profile flush and truncate -cpuprofile/-memprofile.
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tcpsweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		sweep    = flag.String("sweep", "size", "sweep: size | nbits | k | assoc | hash | targets | baselines | critfilter | strideassist | placement | branchpred")
-		n        = flag.Uint64("n", 1_000_000, "measured instructions per run")
-		warm     = flag.Uint64("warmup", 2_000_000, "warmup instructions per run")
-		fidelity = flag.String("warmup-fidelity", "full", "warmup engine: full (cycle-accurate) or fast (functional fast-forward, docs/FASTFORWARD.md)")
-		seed     = flag.Uint64("seed", 1, "workload seed")
-		bench    = flag.String("benches", "", "comma-separated benchmark subset (default all 26)")
-		jobs     = flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation workers (1 = serial)")
+		sweep    = fs.String("sweep", "size", "sweep: size | nbits | k | assoc | hash | targets | baselines | critfilter | strideassist | placement | branchpred")
+		n        = fs.Uint64("n", 1_000_000, "measured instructions per run")
+		warm     = fs.Uint64("warmup", 2_000_000, "warmup instructions per run")
+		fidelity = fs.String("warmup-fidelity", "full", "warmup engine: full (cycle-accurate) or fast (functional fast-forward, docs/FASTFORWARD.md)")
+		seed     = fs.Uint64("seed", 1, "workload seed")
+		bench    = fs.String("benches", "", "comma-separated benchmark subset (default all 26)")
+		jobs     = fs.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation workers (1 = serial)")
 
-		jsonOut    = flag.String("json", "", "write the sweep's curves and tables as a machine-readable report to this file")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write an allocation profile to this file")
+		jsonOut    = fs.String("json", "", "write the sweep's curves and tables as a machine-readable report to this file")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = fs.String("memprofile", "", "write an allocation profile to this file")
 
-		warmFork = flag.Bool("warmfork", false, "run every warmup under the no-prefetch baseline and fork grid points from one warm checkpoint per benchmark")
-		ckptDir  = flag.String("checkpoint-dir", "", "persist warm checkpoints and per-job result manifests in this directory")
-		resume   = flag.Bool("resume", false, "answer already-completed jobs from -checkpoint-dir manifests instead of re-simulating")
+		warmFork = fs.Bool("warmfork", false, "run every warmup under the no-prefetch baseline and fork grid points from one warm checkpoint per benchmark")
+		ckptDir  = fs.String("checkpoint-dir", "", "persist warm checkpoints and per-job result manifests in this directory")
+		resume   = fs.Bool("resume", false, "answer already-completed jobs from -checkpoint-dir manifests instead of re-simulating")
 
-		workers  = flag.Int("workers", 0, "join a distributed sweep splitting this grid over -checkpoint-dir (the value is advisory: any number of workers may cooperate)")
-		workerID = flag.String("worker-id", "", "unique id for this worker in a distributed sweep (default hostname-pid; requires -workers)")
-		leaseTTL = flag.Duration("lease-ttl", 30*time.Second, "heartbeat staleness horizon before a crashed worker's job leases may be stolen")
-		gather   = flag.Bool("gather", false, "assemble a completed distributed sweep from -checkpoint-dir manifests without simulating; errors if any job is missing")
+		workers  = fs.Int("workers", 0, "join a distributed sweep splitting this grid over -checkpoint-dir (the value is advisory: any number of workers may cooperate)")
+		workerID = fs.String("worker-id", "", "unique id for this worker in a distributed sweep (default hostname-pid; requires -workers)")
+		leaseTTL = fs.Duration("lease-ttl", 30*time.Second, "heartbeat staleness horizon before a crashed worker's job leases may be stolen")
+		gather   = fs.Bool("gather", false, "assemble a completed distributed sweep from -checkpoint-dir manifests without simulating; errors if any job is missing")
 
-		statusAddr = flag.String("status-addr", "", "serve live fleet status over -checkpoint-dir on this address (/status JSON, /events SSE, /metrics Prometheus) while the sweep runs")
-		flight     = flag.Bool("flight", true, "record claim-protocol events to per-job flight logs in -checkpoint-dir (worker mode; replay with tcpstatus -timeline)")
+		statusAddr = fs.String("status-addr", "", "serve live fleet status over -checkpoint-dir on this address (/status JSON, /events SSE, /metrics Prometheus) while the sweep runs")
+		flight     = fs.Bool("flight", true, "record claim-protocol events to per-job flight logs in -checkpoint-dir (worker mode; replay with tcpstatus -timeline)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcpsweep:", err)
+		fmt.Fprintln(stderr, "tcpsweep:", err)
 		return 1
 	}
 	defer stopProf()
 
 	fid, err := sim.ParseFidelity(*fidelity)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcpsweep: -warmup-fidelity:", err)
+		fmt.Fprintln(stderr, "tcpsweep: -warmup-fidelity:", err)
 		return 2
 	}
 	if err := (sim.Config{Instructions: *n, Warmup: *warm, Seed: *seed,
 		WarmupFidelity: fid}).Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "tcpsweep:", err)
+		fmt.Fprintln(stderr, "tcpsweep:", err)
 		return 2
 	}
 	workerMode := *workers > 0 || *workerID != ""
 	if err := distrib.ValidateWorkerFlags(*workers, *workerID, *leaseTTL); err != nil {
-		fmt.Fprintln(os.Stderr, "tcpsweep:", err)
+		fmt.Fprintln(stderr, "tcpsweep:", err)
 		return 2
 	}
 	switch {
 	case *resume && *ckptDir == "":
-		fmt.Fprintln(os.Stderr, "tcpsweep: -resume requires -checkpoint-dir")
+		fmt.Fprintln(stderr, "tcpsweep: -resume requires -checkpoint-dir")
 		return 2
 	case workerMode && *ckptDir == "":
-		fmt.Fprintln(os.Stderr, "tcpsweep: -workers/-worker-id require -checkpoint-dir (the shared directory is the coordination medium)")
+		fmt.Fprintln(stderr, "tcpsweep: -workers/-worker-id require -checkpoint-dir (the shared directory is the coordination medium)")
 		return 2
 	case *gather && *ckptDir == "":
-		fmt.Fprintln(os.Stderr, "tcpsweep: -gather requires -checkpoint-dir")
+		fmt.Fprintln(stderr, "tcpsweep: -gather requires -checkpoint-dir")
 		return 2
 	case *gather && workerMode:
-		fmt.Fprintln(os.Stderr, "tcpsweep: -gather and -workers are mutually exclusive (gather assembles after the workers finish)")
+		fmt.Fprintln(stderr, "tcpsweep: -gather and -workers are mutually exclusive (gather assembles after the workers finish)")
 		return 2
 	case *statusAddr != "" && *ckptDir == "":
-		fmt.Fprintln(os.Stderr, "tcpsweep: -status-addr requires -checkpoint-dir (status is read from the shared directory)")
+		fmt.Fprintln(stderr, "tcpsweep: -status-addr requires -checkpoint-dir (status is read from the shared directory)")
 		return 2
 	}
 
@@ -134,7 +142,7 @@ func run() int {
 		// Consumers of existing manifests (resume, workers, gather) must
 		// match the recorded grid; a fresh recording run replaces it.
 		if err := experiment.EnsureGrid(*ckptDir, desc, !*resume && !workerMode && !*gather); err != nil {
-			fmt.Fprintln(os.Stderr, "tcpsweep:", err)
+			fmt.Fprintln(stderr, "tcpsweep:", err)
 			var gm *experiment.GridMismatchError
 			if errors.As(err, &gm) {
 				return 2
@@ -147,7 +155,7 @@ func run() int {
 		// publication medium of a distributed sweep.
 		store, err := experiment.NewResultStore(*ckptDir, *resume || workerMode || *gather)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcpsweep:", err)
+			fmt.Fprintln(stderr, "tcpsweep:", err)
 			return 1
 		}
 		o.Runner.SetResultStore(store)
@@ -163,7 +171,7 @@ func run() int {
 			}
 			claims, err = distrib.NewStore(*ckptDir, id, *leaseTTL, nil)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "tcpsweep:", err)
+				fmt.Fprintln(stderr, "tcpsweep:", err)
 				return 1
 			}
 			if *flight {
@@ -180,10 +188,10 @@ func run() int {
 			srv := fleetobs.NewServer(*ckptDir, nil, 0)
 			ln, err := net.Listen("tcp", *statusAddr)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "tcpsweep:", err)
+				fmt.Fprintln(stderr, "tcpsweep:", err)
 				return 1
 			}
-			fmt.Fprintf(os.Stderr, "tcpsweep: fleet status on http://%s\n", ln.Addr())
+			fmt.Fprintf(stderr, "tcpsweep: fleet status on http://%s\n", ln.Addr())
 			go srv.Serve(ln) //nolint:errcheck // listener failure only loses the status view
 			defer srv.Close()
 		}
@@ -192,13 +200,13 @@ func run() int {
 	report := telemetry.NewReport("tcpsweep")
 	series := func(ss ...stats.Series) {
 		for _, s := range ss {
-			fmt.Println(s.String())
+			fmt.Fprintln(stdout, s.String())
 			report.Sweeps = append(report.Sweeps, telemetry.SweepSeries{
 				Name: s.Name, Labels: s.Labels, Values: s.Values})
 		}
 	}
 	table := func(t *stats.Table) {
-		t.WriteTo(os.Stdout) //nolint:errcheck
+		t.WriteTo(stdout) //nolint:errcheck
 		report.Tables = append(report.Tables, telemetry.TableData{
 			Title: t.Title(), Headers: t.Headers(), Rows: t.Rows()})
 	}
@@ -246,36 +254,36 @@ func run() int {
 		return nil
 	}
 	if err := runSweep(); err != nil {
-		fmt.Fprintln(os.Stderr, "tcpsweep:", err)
+		fmt.Fprintln(stderr, "tcpsweep:", err)
 		var ige *experiment.IncompleteGridError
 		if errors.As(err, &ige) {
 			// List every discovered hole and its last-known holder so the
 			// operator knows which worker to restart.
-			if herr := fleetobs.WriteHoles(os.Stderr, *ckptDir); herr != nil {
-				fmt.Fprintln(os.Stderr, "tcpsweep:", herr)
+			if herr := fleetobs.WriteHoles(stderr, *ckptDir); herr != nil {
+				fmt.Fprintln(stderr, "tcpsweep:", herr)
 			}
 		}
 		return 1
 	}
 	if unknown {
-		fmt.Fprintf(os.Stderr, "tcpsweep: unknown sweep %q\n", *sweep)
+		fmt.Fprintf(stderr, "tcpsweep: unknown sweep %q\n", *sweep)
 		return 2
 	}
 
 	if simulated, reused := o.Runner.BaselineStats(); reused > 0 {
-		fmt.Fprintf(os.Stderr, "tcpsweep: baseline cache: %d simulated, %d reused\n",
+		fmt.Fprintf(stderr, "tcpsweep: baseline cache: %d simulated, %d reused\n",
 			simulated, reused)
 	}
 	if warmups, forks := o.Runner.WarmForkStats(); forks > 0 {
-		fmt.Fprintf(os.Stderr, "tcpsweep: warm fork: %d warmups simulated, %d grid points forked\n",
+		fmt.Fprintf(stderr, "tcpsweep: warm fork: %d warmups simulated, %d grid points forked\n",
 			warmups, forks)
 	}
 	if hits := o.Runner.StoreStats(); hits > 0 {
-		fmt.Fprintf(os.Stderr, "tcpsweep: %d jobs answered from result manifests\n", hits)
+		fmt.Fprintf(stderr, "tcpsweep: %d jobs answered from result manifests\n", hits)
 	}
 	if claims != nil {
 		st := claims.Stats()
-		fmt.Fprintf(os.Stderr, "tcpsweep: worker %s: %d claimed, %d conflicts, %d stolen (%d races), %d heartbeats, %d lost, %d waits\n",
+		fmt.Fprintf(stderr, "tcpsweep: worker %s: %d claimed, %d conflicts, %d stolen (%d races), %d heartbeats, %d lost, %d waits\n",
 			claims.Worker(), st.Claims, st.ClaimConflicts, st.Steals, st.StealRaces,
 			st.Heartbeats, st.LeasesLost, st.WaitPolls)
 		report.Workers = append(report.Workers, telemetry.WorkerStats{
@@ -288,10 +296,10 @@ func run() int {
 	if *jsonOut != "" {
 		report.GeomeanClamped = stats.GeomeanClampCount()
 		if err := report.WriteFile(*jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "tcpsweep:", err)
+			fmt.Fprintln(stderr, "tcpsweep:", err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "tcpsweep: report written to %s\n", *jsonOut)
+		fmt.Fprintf(stderr, "tcpsweep: report written to %s\n", *jsonOut)
 	}
 	return 0
 }

@@ -14,8 +14,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"time"
@@ -23,30 +25,37 @@ import (
 	"tagprefetch/internal/sweepd"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tcpsweepd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr     = flag.String("addr", "127.0.0.1:8344", "HTTP listen address")
-		root     = flag.String("root", "", "data directory; the result cache lives in <root>/ckpt-v<version> (required)")
-		workers  = flag.Int("workers", 2, "in-process simulation workers")
-		leaseTTL = flag.Duration("lease-ttl", 30*time.Second, "job-lease staleness horizon before a crashed worker's leases may be stolen")
-		maxQueue = flag.Int("max-queue", 1024, "global queued-job bound; requests overflowing it get 429 + Retry-After")
-		maxJobs  = flag.Int("max-jobs", 4096, "per-request job budget; larger grids are rejected with 400")
-		interval = flag.Duration("event-interval", 0, "/events poll cadence (0 selects the fleetobs default)")
+		addr     = fs.String("addr", "127.0.0.1:8344", "HTTP listen address")
+		root     = fs.String("root", "", "data directory; the result cache lives in <root>/ckpt-v<version> (required)")
+		workers  = fs.Int("workers", 2, "in-process simulation workers")
+		leaseTTL = fs.Duration("lease-ttl", 30*time.Second, "job-lease staleness horizon before a crashed worker's leases may be stolen")
+		maxQueue = fs.Int("max-queue", 1024, "global queued-job bound; requests overflowing it get 429 + Retry-After")
+		maxJobs  = fs.Int("max-jobs", 4096, "per-request job budget; larger grids are rejected with 400")
+		interval = fs.Duration("event-interval", 0, "/events poll cadence (0 selects the fleetobs default)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *root == "" {
-		fmt.Fprintln(os.Stderr, "tcpsweepd: -root is required")
+		fmt.Fprintln(stderr, "tcpsweepd: -root is required")
 		return 2
 	}
 	if *workers <= 0 {
-		fmt.Fprintln(os.Stderr, "tcpsweepd: -workers must be positive")
+		fmt.Fprintln(stderr, "tcpsweepd: -workers must be positive")
 		return 2
 	}
 	if *leaseTTL <= 0 {
-		fmt.Fprintln(os.Stderr, "tcpsweepd: -lease-ttl must be positive")
+		fmt.Fprintln(stderr, "tcpsweepd: -lease-ttl must be positive")
 		return 2
 	}
 
@@ -59,19 +68,19 @@ func run() int {
 		EventInterval:   *interval,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcpsweepd:", err)
+		fmt.Fprintln(stderr, "tcpsweepd:", err)
 		return 1
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcpsweepd:", err)
+		fmt.Fprintln(stderr, "tcpsweepd:", err)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "tcpsweepd: serving on http://%s (cache %s, %d workers)\n",
+	fmt.Fprintf(stderr, "tcpsweepd: serving on http://%s (cache %s, %d workers)\n",
 		ln.Addr(), srv.CacheDir(), *workers)
 	defer srv.Close()
 	if err := srv.Serve(ln); err != nil {
-		fmt.Fprintln(os.Stderr, "tcpsweepd:", err)
+		fmt.Fprintln(stderr, "tcpsweepd:", err)
 		return 1
 	}
 	return 0

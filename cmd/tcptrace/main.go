@@ -7,6 +7,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -59,38 +60,45 @@ func (c *capture) Reset()                                                       
 // main delegates to run so that error exits unwind normally: os.Exit would
 // skip the deferred profile flush and trace-writer flush, truncating
 // -cpuprofile/-memprofile/-o output.
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tcptrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		bench    = flag.String("bench", "", "SPEC2000 benchmark to trace")
-		n        = flag.Uint64("n", 1_000_000, "measured instructions")
-		warm     = flag.Uint64("warmup", 2_000_000, "warmup instructions")
-		fidelity = flag.String("warmup-fidelity", "full", "warmup engine: full (cycle-accurate) or fast (functional fast-forward, docs/FASTFORWARD.md)")
-		seed     = flag.Uint64("seed", 1, "workload seed")
-		out      = flag.String("o", "", "dump the raw miss trace to this file")
-		in       = flag.String("i", "", "analyse an existing trace file instead of simulating")
+		bench    = fs.String("bench", "", "SPEC2000 benchmark to trace")
+		n        = fs.Uint64("n", 1_000_000, "measured instructions")
+		warm     = fs.Uint64("warmup", 2_000_000, "warmup instructions")
+		fidelity = fs.String("warmup-fidelity", "full", "warmup engine: full (cycle-accurate) or fast (functional fast-forward, docs/FASTFORWARD.md)")
+		seed     = fs.Uint64("seed", 1, "workload seed")
+		out      = fs.String("o", "", "dump the raw miss trace to this file")
+		in       = fs.String("i", "", "analyse an existing trace file instead of simulating")
 
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write an allocation profile to this file")
-		statusAddr = flag.String("status-addr", "", "serve the live memory-hierarchy metric registry as Prometheus text on this address (/metrics) while tracing")
-		seqLen     = flag.Int("k", 3, "tag-sequence length (paper: 3)")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = fs.String("memprofile", "", "write an allocation profile to this file")
+		statusAddr = fs.String("status-addr", "", "serve the live memory-hierarchy metric registry as Prometheus text on this address (/metrics) while tracing")
+		seqLen     = fs.Int("k", 3, "tag-sequence length (paper: 3)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	fid, err := sim.ParseFidelity(*fidelity)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcptrace: -warmup-fidelity:", err)
+		fmt.Fprintln(stderr, "tcptrace: -warmup-fidelity:", err)
 		return 2
 	}
 	if *statusAddr != "" && *bench == "" {
-		fmt.Fprintln(os.Stderr, "tcptrace: -status-addr requires -bench (only a live simulation has metrics to serve)")
+		fmt.Fprintln(stderr, "tcptrace: -status-addr requires -bench (only a live simulation has metrics to serve)")
 		return 2
 	}
 
 	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcptrace:", err)
+		fmt.Fprintln(stderr, "tcptrace:", err)
 		return 1
 	}
 	defer stopProf()
@@ -102,7 +110,7 @@ func run() int {
 	case *in != "":
 		f, err := os.Open(*in)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcptrace:", err)
+			fmt.Fprintln(stderr, "tcptrace:", err)
 			return 1
 		}
 		defer f.Close()
@@ -113,7 +121,7 @@ func run() int {
 				break
 			}
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "tcptrace:", err)
+				fmt.Fprintln(stderr, "tcptrace:", err)
 				return 1
 			}
 			prof.Observe(m)
@@ -121,14 +129,14 @@ func run() int {
 	case *bench != "":
 		spec, err := workload.Spec2000(*bench)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcptrace:", err)
+			fmt.Fprintln(stderr, "tcptrace:", err)
 			return 1
 		}
 		cap := &capture{prof: prof, armed: *warm == 0}
 		if *out != "" {
 			f, err := os.Create(*out)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "tcptrace:", err)
+				fmt.Fprintln(stderr, "tcptrace:", err)
 				return 1
 			}
 			defer f.Close()
@@ -143,7 +151,7 @@ func run() int {
 			mem.AttachTelemetry(reg.Sub("memsys"), telemetry.Nop())
 			ln, err := net.Listen("tcp", *statusAddr)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "tcptrace:", err)
+				fmt.Fprintln(stderr, "tcptrace:", err)
 				return 1
 			}
 			mux := http.NewServeMux()
@@ -151,7 +159,7 @@ func run() int {
 				return []telemetry.PromSet{telemetry.PromFromRegistry(reg,
 					telemetry.PromLabel{Name: "bench", Value: *bench})}
 			}))
-			fmt.Fprintf(os.Stderr, "tcptrace: metrics on http://%s/metrics\n", ln.Addr())
+			fmt.Fprintf(stderr, "tcptrace: metrics on http://%s/metrics\n", ln.Addr())
 			srv := &http.Server{Handler: mux}
 			go srv.Serve(ln) //nolint:errcheck // listener failure only loses the metrics view
 			defer srv.Close()
@@ -171,14 +179,14 @@ func run() int {
 			core.RunMeasured(gen, *warm, *n, arm)
 		}
 		if cap.err != nil {
-			fmt.Fprintln(os.Stderr, "tcptrace: write:", cap.err)
+			fmt.Fprintln(stderr, "tcptrace: write:", cap.err)
 			return 1
 		}
 		if cap.w != nil {
-			fmt.Fprintf(os.Stderr, "tcptrace: wrote %d miss records to %s\n", cap.w.Count(), *out)
+			fmt.Fprintf(stderr, "tcptrace: wrote %d miss records to %s\n", cap.w.Count(), *out)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "tcptrace: need -bench or -i; -h for help")
+		fmt.Fprintln(stderr, "tcptrace: need -bench or -i; -h for help")
 		return 2
 	}
 
@@ -197,6 +205,6 @@ func run() int {
 	t.AddRow("mean sets per sequence (Fig 7)", fmt.Sprintf("%.1f", s.SetsPerSeq))
 	t.AddRow("mean per-set sequence recurrence (Fig 7)", fmt.Sprintf("%.1f", s.SeqPerSetRecur))
 	t.AddRow("strided sequences (Fig 15)", stats.Percent(s.StridedFrac))
-	t.WriteTo(os.Stdout) //nolint:errcheck
+	t.WriteTo(stdout) //nolint:errcheck
 	return 0
 }

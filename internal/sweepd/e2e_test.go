@@ -3,6 +3,7 @@ package sweepd_test
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,6 +17,8 @@ import (
 	"tagprefetch/internal/experiment"
 	"tagprefetch/internal/sweepd"
 )
+
+var update = flag.Bool("update", false, "rewrite the testdata goldens from the current code")
 
 const (
 	e2eInstr  = 20_000
@@ -143,6 +146,21 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if !bytes.Equal(daemonBody, want.Bytes()) {
 		t.Errorf("daemon result differs from a fresh serial run:\ndaemon: %q\nserial: %q",
 			daemonBody, want.Bytes())
+	}
+	// The body is pinned byte for byte too, so a rendering change cannot
+	// move the daemon and the serial reference together unnoticed.
+	golden := filepath.Join("testdata", "nbits_result.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, daemonBody, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	} else if pinned, err := os.ReadFile(golden); err != nil {
+		t.Errorf("%v (run with -update to record)", err)
+	} else if !bytes.Equal(daemonBody, pinned) {
+		t.Errorf("daemon result differs from %s:\ndaemon: %q\ngolden: %q", golden, daemonBody, pinned)
 	}
 
 	// Property 2: an identical grid from a second tenant is served
