@@ -14,209 +14,68 @@
 package main
 
 import (
-	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"net"
 	"os"
-	"runtime"
+	"slices"
 	"strings"
-	"time"
 
+	"tagprefetch/internal/cli"
 	"tagprefetch/internal/experiment"
-	"tagprefetch/internal/experiment/distrib"
-	"tagprefetch/internal/fleetobs"
 	"tagprefetch/internal/profiler"
-	"tagprefetch/internal/profiling"
-	"tagprefetch/internal/sim"
 	"tagprefetch/internal/stats"
 	"tagprefetch/internal/telemetry"
-	"tagprefetch/internal/workload"
 )
+
+// allIDs is every experiment id in -exp all order.
+var allIDs = []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
+	"fig7", "fig11", "fig12", "fig13a", "fig13b", "fig14", "fig15", "coverage", "ablations"}
 
 // main delegates to run so that error exits unwind normally: os.Exit would
 // skip the deferred profile flush and truncate -cpuprofile/-memprofile.
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("tcpfigs", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		exp      = fs.String("exp", "all", "experiment id (table1, fig1..fig7, fig11..fig15, ablations, all)")
-		n        = fs.Uint64("n", 1_000_000, "measured instructions per run")
-		warm     = fs.Uint64("warmup", 2_000_000, "warmup instructions per run")
-		fidelity = fs.String("warmup-fidelity", "full", "warmup engine: full (cycle-accurate) or fast (functional fast-forward, docs/FASTFORWARD.md)")
-		seed     = fs.Uint64("seed", 1, "workload seed")
-		bench    = fs.String("benches", "", "comma-separated benchmark subset (default all 26)")
-		asCSV    = fs.Bool("csv", false, "emit table experiments as CSV instead of aligned text")
-		jobs     = fs.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation workers (1 = serial)")
-
-		reportIn   = fs.String("report", "", "render a telemetry report (from tcpsim/tcpsweep -json) instead of running experiments")
-		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = fs.String("memprofile", "", "write an allocation profile to this file")
-
-		warmFork = fs.Bool("warmfork", false, "run every warmup under the no-prefetch baseline and fork grid points from one warm checkpoint per benchmark")
-		ckptDir  = fs.String("checkpoint-dir", "", "persist warm checkpoints and per-job result manifests in this directory")
-		resume   = fs.Bool("resume", false, "answer already-completed jobs from -checkpoint-dir manifests instead of re-simulating")
-
-		workers  = fs.Int("workers", 0, "join a distributed run splitting this grid over -checkpoint-dir (the value is advisory: any number of workers may cooperate)")
-		workerID = fs.String("worker-id", "", "unique id for this worker in a distributed run (default hostname-pid; requires -workers)")
-		leaseTTL = fs.Duration("lease-ttl", 30*time.Second, "heartbeat staleness horizon before a crashed worker's job leases may be stolen")
-		gather   = fs.Bool("gather", false, "assemble a completed distributed run from -checkpoint-dir manifests without simulating; errors if any job is missing")
-
-		statusAddr = fs.String("status-addr", "", "serve live fleet status over -checkpoint-dir on this address (/status JSON, /events SSE, /metrics Prometheus) while experiments run")
-		flight     = fs.Bool("flight", true, "record claim-protocol events to per-job flight logs in -checkpoint-dir (worker mode; replay with tcpstatus -timeline)")
-	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
+	c := cli.New("tcpfigs", stdout, stderr)
+	exp := c.Flags.String("exp", "all", "experiment id (table1, fig1..fig7, fig11..fig15, ablations, all)")
+	asCSV := c.Flags.Bool("csv", false, "emit table experiments as CSV instead of aligned text")
+	reportIn := c.Flags.String("report", "", "render a telemetry report (from tcpsim/tcpsweep -json) instead of running experiments")
+	g := c.GridFlags("run", "experiments run")
+	if code, ok := c.Parse(args); !ok {
+		return code
 	}
 
-	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
+	stopProf, err := g.Profile()
 	if err != nil {
-		fmt.Fprintln(stderr, "tcpfigs:", err)
-		return 1
+		return c.Exit(1, err)
 	}
 	defer stopProf()
 
 	if *reportIn != "" {
 		if err := renderReport(stdout, *reportIn, *asCSV); err != nil {
-			fmt.Fprintln(stderr, "tcpfigs:", err)
-			return 1
+			return c.Exit(1, err)
 		}
 		return 0
 	}
 
-	fid, err := sim.ParseFidelity(*fidelity)
-	if err != nil {
-		fmt.Fprintln(stderr, "tcpfigs: -warmup-fidelity:", err)
-		return 2
+	ids := allIDs
+	if *exp != "all" {
+		if !slices.Contains(allIDs, *exp) {
+			return c.Exitf(2, "unknown experiment %q", *exp)
+		}
+		ids = []string{*exp}
 	}
-	if err := (sim.Config{Instructions: *n, Warmup: *warm, Seed: *seed,
-		WarmupFidelity: fid}).Validate(); err != nil {
-		fmt.Fprintln(stderr, "tcpfigs:", err)
-		return 2
-	}
-	workerMode := *workers > 0 || *workerID != ""
-	if err := distrib.ValidateWorkerFlags(*workers, *workerID, *leaseTTL); err != nil {
-		fmt.Fprintln(stderr, "tcpfigs:", err)
-		return 2
-	}
-	switch {
-	case *resume && *ckptDir == "":
-		fmt.Fprintln(stderr, "tcpfigs: -resume requires -checkpoint-dir")
-		return 2
-	case workerMode && *ckptDir == "":
-		fmt.Fprintln(stderr, "tcpfigs: -workers/-worker-id require -checkpoint-dir (the shared directory is the coordination medium)")
-		return 2
-	case *gather && *ckptDir == "":
-		fmt.Fprintln(stderr, "tcpfigs: -gather requires -checkpoint-dir")
-		return 2
-	case *gather && workerMode:
-		fmt.Fprintln(stderr, "tcpfigs: -gather and -workers are mutually exclusive (gather assembles after the workers finish)")
-		return 2
-	case *statusAddr != "" && *ckptDir == "":
-		fmt.Fprintln(stderr, "tcpfigs: -status-addr requires -checkpoint-dir (status is read from the shared directory)")
-		return 2
-	}
-
 	// One runner for every figure: baselines simulated for fig1 are reused
 	// by fig11, fig14 and the ablations via the memoised cache.
-	o := experiment.Options{Instructions: *n, Warmup: *warm, Seed: *seed,
-		WarmupFidelity: fid, BaselineWarmup: *warmFork,
-		Runner: experiment.NewRunner(*jobs)}
-	if *bench != "" {
-		o.Benches = strings.Split(*bench, ",")
-	}
-	var claims *distrib.Store
-	if *ckptDir != "" {
-		benches := o.Benches
-		if len(benches) == 0 {
-			benches = workload.Names()
-		}
-		// The default engine is recorded as the field's absence, so default
-		// runs write grid.json byte-identical to pre-fidelity builds.
-		fidDesc := ""
-		if fid != sim.FidelityFull {
-			fidDesc = string(fid)
-		}
-		desc := experiment.GridDesc{Tool: "tcpfigs", Experiment: *exp,
-			Instructions: *n, Warmup: *warm, WarmupFidelity: fidDesc,
-			Seed: *seed, Benches: benches, WarmFork: *warmFork}
-		if err := experiment.EnsureGrid(*ckptDir, desc, !*resume && !workerMode && !*gather); err != nil {
-			fmt.Fprintln(stderr, "tcpfigs:", err)
-			var gm *experiment.GridMismatchError
-			if errors.As(err, &gm) {
-				return 2
-			}
-			return 1
-		}
-		o.Runner.SetCheckpointDir(*ckptDir)
-		store, err := experiment.NewResultStore(*ckptDir, *resume || workerMode || *gather)
-		if err != nil {
-			fmt.Fprintln(stderr, "tcpfigs:", err)
-			return 1
-		}
-		o.Runner.SetResultStore(store)
-
-		if workerMode {
-			id := *workerID
-			if id == "" {
-				host, _ := os.Hostname()
-				if host == "" {
-					host = "worker"
-				}
-				id = fmt.Sprintf("%s-%d", host, os.Getpid())
-			}
-			claims, err = distrib.NewStore(*ckptDir, id, *leaseTTL, nil)
-			if err != nil {
-				fmt.Fprintln(stderr, "tcpfigs:", err)
-				return 1
-			}
-			if *flight {
-				rec := distrib.NewRecorder(*ckptDir, id, nil, 0)
-				claims.SetRecorder(rec)
-				store.SetRecorder(rec)
-			}
-			o.Runner.SetClaims(claims)
-		}
-		if *gather {
-			o.Runner.SetStrictGather(true)
-		}
-		if *statusAddr != "" {
-			srv := fleetobs.NewServer(*ckptDir, nil, 0)
-			ln, err := net.Listen("tcp", *statusAddr)
-			if err != nil {
-				fmt.Fprintln(stderr, "tcpfigs:", err)
-				return 1
-			}
-			fmt.Fprintf(stderr, "tcpfigs: fleet status on http://%s\n", ln.Addr())
-			go srv.Serve(ln) //nolint:errcheck // listener failure only loses the status view
-			defer srv.Close()
-		}
+	o, err := g.Setup(*exp)
+	defer g.Close()
+	if err != nil {
+		return c.Fail(err)
 	}
 
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
-			"fig7", "fig11", "fig12", "fig13a", "fig13b", "fig14", "fig15", "coverage", "ablations"}
+	emit := func(t *stats.Table) error {
+		return experiment.Output{Table: t}.Write(stdout, *asCSV)
 	}
-
-	bad := false
-	emit := func(t *stats.Table) {
-		if *asCSV {
-			if err := t.WriteCSV(stdout); err != nil {
-				fmt.Fprintln(stderr, "tcpfigs:", err)
-				bad = true
-			}
-			return
-		}
-		t.WriteTo(stdout) //nolint:errcheck
-	}
-
 	var prof map[string]profiler.Summary
 	needProfile := func() map[string]profiler.Summary {
 		if prof == nil {
@@ -225,108 +84,67 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return prof
 	}
+	sweep := func(title, name string) error {
+		fmt.Fprintln(stdout, title)
+		sw, _ := experiment.SweepNamed(name)
+		return sw.Run(o).Write(stdout, *asCSV)
+	}
 
-	// A strict gather over an incomplete grid raises
-	// *experiment.IncompleteGridError through the runner; surface it as an
-	// ordinary error instead of a crash.
-	runExp := func(id string) (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				if ige, ok := p.(*experiment.IncompleteGridError); ok {
-					err = ige
-					return
-				}
-				panic(p)
-			}
-		}()
+	runExp := func(id string) error {
 		switch id {
 		case "table1":
-			emit(experiment.Table1())
+			return emit(experiment.Table1())
 		case "fig1":
-			emit(experiment.Fig01IdealL2(o))
+			return emit(experiment.Fig01IdealL2(o))
 		case "fig2":
-			emit(experiment.Fig02TagStats(o, needProfile()))
+			return emit(experiment.Fig02TagStats(o, needProfile()))
 		case "fig3":
-			emit(experiment.Fig03AddrStats(o, needProfile()))
+			return emit(experiment.Fig03AddrStats(o, needProfile()))
 		case "fig4":
-			emit(experiment.Fig04TagSpread(o, needProfile()))
+			return emit(experiment.Fig04TagSpread(o, needProfile()))
 		case "fig5":
-			emit(experiment.Fig05SeqRatio(o, needProfile()))
+			return emit(experiment.Fig05SeqRatio(o, needProfile()))
 		case "fig6":
-			emit(experiment.Fig06SeqStats(o, needProfile()))
+			return emit(experiment.Fig06SeqStats(o, needProfile()))
 		case "fig7":
-			emit(experiment.Fig07SeqSpread(o, needProfile()))
+			return emit(experiment.Fig07SeqSpread(o, needProfile()))
 		case "fig11":
-			emit(experiment.Fig11IPC(o))
+			return emit(experiment.Fig11IPC(o))
 		case "fig12":
-			emit(experiment.Fig12Traffic(o))
+			return emit(experiment.Fig12Traffic(o))
 		case "fig13a":
-			fmt.Fprintln(stdout, "== Figure 13 (top): mean IPC vs PHT size ==")
-			for _, s := range experiment.Fig13PHTSize(o) {
-				fmt.Fprintln(stdout, s.String())
-			}
+			return sweep("== Figure 13 (top): mean IPC vs PHT size ==", "size")
 		case "fig13b":
-			fmt.Fprintln(stdout, "== Figure 13 (bottom): mean IPC vs miss-index bits ==")
-			fmt.Fprintln(stdout, experiment.Fig13IndexBits(o).String())
+			return sweep("== Figure 13 (bottom): mean IPC vs miss-index bits ==", "nbits")
 		case "fig14":
-			emit(experiment.Fig14Hybrid(o))
+			return emit(experiment.Fig14Hybrid(o))
 		case "fig15":
-			emit(experiment.Fig15Strided(o, needProfile()))
+			return emit(experiment.Fig15Strided(o, needProfile()))
 		case "coverage":
-			emit(experiment.CoverageComparison(o))
-		case "ablations":
+			return emit(experiment.CoverageComparison(o))
+		default: // "ablations"
 			fmt.Fprintln(stdout, "== Ablations (DESIGN.md A1-A5) ==")
-			fmt.Fprintln(stdout, experiment.AblationTHTDepth(o).String())
-			fmt.Fprintln(stdout, experiment.AblationPHTAssoc(o).String())
-			fmt.Fprintln(stdout, experiment.AblationHashing(o).String())
-			fmt.Fprintln(stdout, experiment.AblationMultiTarget(o).String())
-			emit(experiment.AblationClassicBaselines(o))
-			emit(experiment.AblationCriticalFilter(o))
-			emit(experiment.AblationStrideAssist(o))
-			emit(experiment.AblationPlacement(o))
-			fmt.Fprintln(stdout, experiment.AblationBranchPredictors(o).String())
-		default:
-			return fmt.Errorf("unknown experiment %q", id)
+			for _, sw := range experiment.Ablations {
+				if err := sw.Run(o).Write(stdout, *asCSV); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
-		return nil
 	}
 
-	for _, id := range ids {
-		if err := runExp(id); err != nil {
-			fmt.Fprintln(stderr, "tcpfigs:", err)
-			var ige *experiment.IncompleteGridError
-			if errors.As(err, &ige) {
-				// List every discovered hole and its last-known holder so
-				// the operator knows which worker to restart.
-				if herr := fleetobs.WriteHoles(stderr, *ckptDir); herr != nil {
-					fmt.Fprintln(stderr, "tcpfigs:", herr)
-				}
-				return 1
+	if code := g.Do(func() error {
+		for _, id := range ids {
+			if err := runExp(id); err != nil {
+				return err
 			}
-			return 2
+			fmt.Fprintln(stdout)
 		}
-		if bad {
-			return 1
-		}
-		fmt.Fprintln(stdout)
+		return nil
+	}); code != 0 {
+		return code
 	}
-	if simulated, reused := o.Runner.BaselineStats(); reused > 0 {
-		fmt.Fprintf(stderr, "tcpfigs: baseline cache: %d simulated, %d reused\n",
-			simulated, reused)
-	}
-	if warmups, forks := o.Runner.WarmForkStats(); forks > 0 {
-		fmt.Fprintf(stderr, "tcpfigs: warm fork: %d warmups simulated, %d grid points forked\n",
-			warmups, forks)
-	}
-	if hits := o.Runner.StoreStats(); hits > 0 {
-		fmt.Fprintf(stderr, "tcpfigs: %d jobs answered from result manifests\n", hits)
-	}
-	if claims != nil {
-		st := claims.Stats()
-		fmt.Fprintf(stderr, "tcpfigs: worker %s: %d claimed, %d conflicts, %d stolen (%d races), %d heartbeats, %d lost, %d waits\n",
-			claims.Worker(), st.Claims, st.ClaimConflicts, st.Steals, st.StealRaces,
-			st.Heartbeats, st.LeasesLost, st.WaitPolls)
-	}
+	g.Stats()
 	return 0
 }
 

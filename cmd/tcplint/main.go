@@ -67,7 +67,7 @@ const (
 // cmd/ binaries are included because table and JSON output order is part
 // of a reproducible run.
 var simPackageRE = regexp.MustCompile(`^tagprefetch(/cmd/[^/]+)?$|` +
-	`^tagprefetch/internal/(addr|branch|bus|cache|checkpoint|core|coverage|cpu|critical|dbcp|deadblock|dram|experiment|memsys|prefetch|profiler|sim|stats|trace|workload|xrand)$`)
+	`^tagprefetch/internal/(addr|branch|bus|cache|checkpoint|cli|core|coverage|cpu|critical|dbcp|deadblock|dram|experiment|memsys|prefetch|profiler|sim|stats|trace|workload|xrand)$`)
 
 // runsOn reports whether analyzer a's findings apply to package path; the
 // analyzer may still run elsewhere to compute facts.

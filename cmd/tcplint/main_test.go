@@ -43,6 +43,7 @@ func TestRunsOnCoversSimPackages(t *testing.T) {
 		"tagprefetch/internal/memsys",
 		"tagprefetch/internal/sim",
 		"tagprefetch/internal/experiment",
+		"tagprefetch/internal/cli",
 	} {
 		for _, a := range analyzers {
 			if !runsOn(a, path) {

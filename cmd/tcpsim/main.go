@@ -15,54 +15,39 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
+	"math/bits"
 	"os"
-	"runtime"
 	"strings"
 
 	"tagprefetch/internal/addr"
 	"tagprefetch/internal/checkpoint"
+	"tagprefetch/internal/cli"
 	"tagprefetch/internal/experiment"
-	"tagprefetch/internal/memsys"
-	"tagprefetch/internal/profiling"
 	"tagprefetch/internal/sim"
 	"tagprefetch/internal/stats"
 	"tagprefetch/internal/telemetry"
 	"tagprefetch/internal/workload"
 )
 
-func factory(name string, phtBytes, nbits int) (sim.Factory, error) {
-	switch strings.ToLower(name) {
-	case "none":
-		return sim.NoPrefetch(), nil
-	case "tcp8k":
-		return sim.TCP8K(), nil
-	case "tcp8m":
-		return sim.TCP8M(), nil
-	case "hybrid8k":
-		return sim.Hybrid8K(), nil
-	case "dbcp", "dbcp2m":
-		return sim.DBCP2M(), nil
-	case "stride":
-		return sim.Stride(), nil
-	case "stream":
-		return sim.StreamBuffers(), nil
-	case "markov":
-		return sim.Markov(), nil
-	case "nextline":
-		return sim.NextLine(), nil
-	case "ghb":
-		return sim.GHB(), nil
-	case "tcp":
-		return sim.TCPWithPHT(phtBytes, nbits, false), nil
-	default:
-		return sim.Factory{}, fmt.Errorf("unknown prefetcher %q", name)
+// factory resolves -pf. The custom "tcp" takes -pht and -nbits, which must
+// describe the PHT they label: sim.TCPWithPHT would round a ragged budget
+// down and core.Config would clamp the index bits.
+func factory(name string, phtBytes, nbits int, l1 addr.Geometry) (sim.Factory, error) {
+	if !strings.EqualFold(name, "tcp") {
+		return sim.Named(name)
 	}
+	if phtBytes < 32 || phtBytes&(phtBytes-1) != 0 {
+		return sim.Factory{}, fmt.Errorf("-pht %d: want a power of two of at least 32 bytes (one 8-way set)", phtBytes)
+	}
+	maxBits := min(int(l1.IndexBits()), bits.Len(uint(phtBytes/32))-1)
+	if nbits < 0 || nbits > maxBits {
+		return sim.Factory{}, fmt.Errorf("-nbits %d: want 0..%d (the L1 index bits and the PHT's %d sets bound it)",
+			nbits, maxBits, phtBytes/32)
+	}
+	return sim.TCPWithPHT(phtBytes, nbits, false), nil
 }
 
 // main delegates to run so that error exits unwind normally: os.Exit would
@@ -71,20 +56,15 @@ func factory(name string, phtBytes, nbits int) (sim.Factory, error) {
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("tcpsim", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	c := cli.New("tcpsim", stdout, stderr)
+	fs := c.Flags
 	var (
-		bench    = fs.String("bench", "all", "SPEC2000 benchmark name, or 'all'")
-		pfName   = fs.String("pf", "none", "prefetcher: none|tcp8k|tcp8m|hybrid8k|dbcp2m|stride|stream|markov|ghb|nextline|tcp")
-		pht      = fs.Int("pht", 8192, "PHT bytes for -pf tcp")
-		nbits    = fs.Int("nbits", 0, "miss-index bits in the PHT index for -pf tcp")
-		n        = fs.Uint64("n", 1_000_000, "measured instructions")
-		warm     = fs.Uint64("warmup", 0, "warmup instructions (default n/2)")
-		fidelity = fs.String("warmup-fidelity", "full", "warmup engine: full (cycle-accurate) or fast (functional fast-forward, docs/FASTFORWARD.md)")
-		ideal    = fs.Bool("ideal", false, "ideal L2 (every L2 access hits)")
-		seed     = fs.Uint64("seed", 1, "workload seed")
-		list     = fs.Bool("list", false, "list benchmark models and exit")
-		jobs     = fs.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation workers across benchmarks (1 = serial)")
+		bench  = fs.String("bench", "all", "SPEC2000 benchmark name, or 'all'")
+		pfName = fs.String("pf", "none", "prefetcher: none|tcp8k|tcp8m|hybrid8k|dbcp2m|stride|stream|markov|ghb|nextline|tcp")
+		pht    = fs.Int("pht", 8192, "PHT bytes for -pf tcp")
+		nbits  = fs.Int("nbits", 0, "miss-index bits in the PHT index for -pf tcp")
+		ideal  = fs.Bool("ideal", false, "ideal L2 (every L2 access hits)")
+		list   = fs.Bool("list", false, "list benchmark models and exit")
 
 		jsonOut    = fs.String("json", "", "write a machine-readable run report (metrics, time series, phases) to this file")
 		sample     = fs.Int64("sample", 10_000, "time-series sampling interval in cycles (with -json/-progress)")
@@ -93,8 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		traceMax   = fs.Uint64("trace-max", 1<<20, "cap on traced events (0 = unlimited)")
 		progress   = fs.Uint64("progress", 0, "print a heartbeat to stderr every N million instructions")
 		statusAddr = fs.String("status-addr", "", "serve the running benchmarks' live metric registries as Prometheus text on this address (/metrics)")
-		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = fs.String("memprofile", "", "write an allocation profile to this file")
 
 		l1Geom      = fs.String("l1", "", "L1 dcache geometry as sizeBytes:ways:blockBytes (default Table 1)")
 		l2Geom      = fs.String("l2", "", "L2 cache geometry as sizeBytes:ways:blockBytes (default Table 1)")
@@ -102,11 +80,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		saveAt      = fs.Uint64("save-at", 0, "instruction count at which -save snapshots; unset defaults to the warmup/measure boundary, an explicit 0 snapshots the initial state")
 		restorePath = fs.String("restore", "", "restore machine state from a checkpoint file and continue (single -bench only)")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
+	rf := c.RunFlags(cli.RunSpec{Jobs: "parallel simulation workers across benchmarks (1 = serial)"})
+	if code, ok := c.Parse(args); !ok {
+		return code
 	}
 	// -save-at 0 is a real position (the pre-warmup initial state), not the
 	// boundary default, so the default is keyed on set-ness rather than value.
@@ -117,10 +93,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	})
 
-	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
+	stopProf, err := rf.Profile()
 	if err != nil {
-		fmt.Fprintln(stderr, "tcpsim:", err)
-		return 1
+		return c.Exit(1, err)
 	}
 	defer stopProf()
 
@@ -133,42 +108,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	f, err := factory(*pfName, *pht, *nbits)
+	cfg, err := rf.Config()
 	if err != nil {
-		fmt.Fprintln(stderr, "tcpsim:", err)
-		return 2
+		return c.Exit(2, err)
 	}
-	fid, err := sim.ParseFidelity(*fidelity)
-	if err != nil {
-		fmt.Fprintln(stderr, "tcpsim: -warmup-fidelity:", err)
-		return 2
-	}
-	cfg := sim.Config{
-		Instructions:   *n,
-		Warmup:         *warm,
-		WarmupFidelity: fid,
-		Seed:           *seed,
-		Mem:            memsys.Config{IdealL2: *ideal},
-	}
+	cfg.Mem.IdealL2 = *ideal
 	if *l1Geom != "" {
-		g, err := parseGeometry(*l1Geom)
-		if err != nil {
-			fmt.Fprintln(stderr, "tcpsim: -l1:", err)
-			return 2
+		if cfg.Mem.L1D, err = parseGeometry(*l1Geom); err != nil {
+			return c.Exit(2, "-l1:", err)
 		}
-		cfg.Mem.L1D = g
 	}
 	if *l2Geom != "" {
-		g, err := parseGeometry(*l2Geom)
-		if err != nil {
-			fmt.Fprintln(stderr, "tcpsim: -l2:", err)
-			return 2
+		if cfg.Mem.L2, err = parseGeometry(*l2Geom); err != nil {
+			return c.Exit(2, "-l2:", err)
 		}
-		cfg.Mem.L2 = g
 	}
 	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(stderr, "tcpsim:", err)
-		return 2
+		return c.Exit(2, err)
+	}
+	f, err := factory(*pfName, *pht, *nbits, cfg.Mem.WithDefaults().L1D)
+	if err != nil {
+		return c.Exit(2, err)
+	}
+	if *progress > 0 && *sample < 1 {
+		return c.Exitf(2, "-progress needs a sampler: -sample %d must be at least 1", *sample)
 	}
 	// Validate -save-at against the run's end while the flag is still in
 	// hand: sim.Machine.RunTo clamps to the final instruction, so an
@@ -176,17 +139,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if saveAtSet {
 		total := cfg.Normalized().Warmup + cfg.Normalized().Instructions
 		if *saveAt > total {
-			fmt.Fprintf(stderr, "tcpsim: -save-at %d is past the end of the run (warmup %d + measured %d = %d instructions)\n",
+			return c.Exitf(2, "-save-at %d is past the end of the run (warmup %d + measured %d = %d instructions)",
 				*saveAt, cfg.Normalized().Warmup, cfg.Normalized().Instructions, total)
-			return 2
 		}
 	}
 
 	benches := workload.Names()
 	if *bench != "all" {
 		if _, err := workload.Spec2000(*bench); err != nil {
-			fmt.Fprintln(stderr, "tcpsim:", err)
-			return 2
+			return c.Exit(2, err)
 		}
 		benches = []string{*bench}
 	}
@@ -198,14 +159,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *traceOut != "" {
 		tf, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintln(stderr, "tcpsim:", err)
-			return 1
+			return c.Exit(1, err)
 		}
 		defer tf.Close()
 		lvl, err := telemetry.ParseLevel(*traceLevel)
 		if err != nil {
-			fmt.Fprintln(stderr, "tcpsim:", err)
-			return 2
+			return c.Exit(2, err)
 		}
 		tracer = telemetry.NewTracer(tf, telemetry.TracerOptions{
 			MinLevel: lvl, MaxEvents: *traceMax})
@@ -215,10 +174,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	report := telemetry.NewReport("tcpsim")
 	warmupOf := func() uint64 {
-		if *warm > 0 {
-			return *warm
+		if rf.Warmup > 0 {
+			return rf.Warmup
 		}
-		return *n / 2 // sim.Config's default
+		return rf.Instructions / 2 // sim.Config's default
 	}
 
 	// Each benchmark is an independent job with its own telemetry.Run, so
@@ -242,16 +201,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		simJobs[i] = experiment.Job{Bench: b, Factory: f, Config: runCfg}
 	}
 
-	// A scrape snapshots every run's live registry; between scrapes the
-	// simulation pays nothing (PromHandler collects per request only).
 	if *statusAddr != "" {
-		ln, err := net.Listen("tcp", *statusAddr)
-		if err != nil {
-			fmt.Fprintln(stderr, "tcpsim:", err)
-			return 1
-		}
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", telemetry.PromHandler(func() []telemetry.PromSet {
+		stop, err := c.ServeMetrics(*statusAddr, func() []telemetry.PromSet {
 			sets := make([]telemetry.PromSet, 0, len(teleRuns))
 			for i, tr := range teleRuns {
 				if tr == nil {
@@ -262,40 +213,38 @@ func run(args []string, stdout, stderr io.Writer) int {
 					telemetry.PromLabel{Name: "prefetcher", Value: f.Name}))
 			}
 			return sets
-		}))
-		fmt.Fprintf(stderr, "tcpsim: metrics on http://%s/metrics\n", ln.Addr())
-		srv := &http.Server{Handler: mux}
-		go srv.Serve(ln) //nolint:errcheck // listener failure only loses the metrics view
-		defer srv.Close()
+		})
+		if err != nil {
+			return c.Exit(1, err)
+		}
+		defer stop()
 	}
 
 	var results []sim.Result
 	if *savePath != "" || saveAtSet || *restorePath != "" {
 		if *savePath == "" && saveAtSet {
-			fmt.Fprintln(stderr, "tcpsim: -save-at requires -save FILE")
-			return 2
+			return c.Exit(2, "-save-at requires -save FILE")
 		}
 		if len(benches) != 1 {
-			fmt.Fprintln(stderr, "tcpsim: -save/-restore need a single benchmark (-bench NAME, not all)")
-			return 2
+			return c.Exit(2, "-save/-restore need a single benchmark (-bench NAME, not all)")
 		}
-		r, code := runCheckpointed(stderr, benches[0], f, simJobs[0].Config, *savePath, *saveAt, saveAtSet, *restorePath)
+		r, code := runCheckpointed(c, benches[0], f, simJobs[0].Config, *savePath, *saveAt, saveAtSet, *restorePath)
 		if code != 0 {
 			return code
 		}
 		results = []sim.Result{r}
 	} else {
-		results = experiment.NewRunner(*jobs).Map(simJobs)
+		results = experiment.NewRunner(rf.Jobs).Map(simJobs)
 	}
 
 	tab := stats.NewTable(
-		fmt.Sprintf("tcpsim: pf=%s n=%d ideal=%v", f.Name, *n, *ideal),
+		fmt.Sprintf("tcpsim: pf=%s n=%d ideal=%v", f.Name, rf.Instructions, *ideal),
 		"bench", "IPC", "L1 miss%", "L2 miss%", "pf issued", "pf useful%", "mispred%")
 	for i, b := range benches {
 		r := results[i]
 		if teleRuns[i] != nil {
 			report.Runs = append(report.Runs,
-				teleRuns[i].Report(b, f.Name, *n, warmupOf(), *seed, r.IPC()))
+				teleRuns[i].Report(b, f.Name, rf.Instructions, warmupOf(), rf.Seed, r.IPC()))
 		}
 		useful := 0.0
 		if tot := r.Mem.PrefetchedOriginal + r.Mem.PrefetchedExtra; tot > 0 {
@@ -319,8 +268,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *jsonOut != "" {
 		report.GeomeanClamped = stats.GeomeanClampCount()
 		if err := report.WriteFile(*jsonOut); err != nil {
-			fmt.Fprintln(stderr, "tcpsim:", err)
-			return 1
+			return c.Exit(1, err)
 		}
 		fmt.Fprintf(stderr, "tcpsim: report written to %s\n", *jsonOut)
 	}
@@ -352,29 +300,25 @@ func installProgress(stderr io.Writer, s *telemetry.Sampler, bench string, every
 // uninterrupted run, so the printed table matches either way. saveAtSet
 // distinguishes an explicit -save-at 0 (snapshot the initial state) from the
 // flag being absent (snapshot at the warmup/measure boundary).
-func runCheckpointed(stderr io.Writer, bench string, f sim.Factory, cfg sim.Config,
+func runCheckpointed(c *cli.Cmd, bench string, f sim.Factory, cfg sim.Config,
 	savePath string, saveAt uint64, saveAtSet bool, restorePath string) (sim.Result, int) {
 	spec, err := workload.Spec2000(bench)
 	if err != nil {
-		fmt.Fprintln(stderr, "tcpsim:", err)
-		return sim.Result{}, 2
+		return sim.Result{}, c.Exit(2, err)
 	}
 	m, err := sim.NewMachine(spec, f, cfg)
 	if err != nil {
-		fmt.Fprintln(stderr, "tcpsim:", err)
-		return sim.Result{}, 2
+		return sim.Result{}, c.Exit(2, err)
 	}
 	if restorePath != "" {
 		data, err := checkpoint.ReadFile(restorePath)
 		if err != nil {
-			fmt.Fprintln(stderr, "tcpsim:", err)
-			return sim.Result{}, 1
+			return sim.Result{}, c.Exit(1, err)
 		}
 		if err := m.RestoreImage(data); err != nil {
-			fmt.Fprintln(stderr, "tcpsim: restore:", err)
-			return sim.Result{}, 1
+			return sim.Result{}, c.Exit(1, "restore:", err)
 		}
-		fmt.Fprintf(stderr, "tcpsim: restored %s at instruction %d of %d\n",
+		fmt.Fprintf(c.Stderr, "tcpsim: restored %s at instruction %d of %d\n",
 			restorePath, m.Position(), m.Total())
 	}
 	if savePath != "" {
@@ -383,21 +327,18 @@ func runCheckpointed(stderr io.Writer, bench string, f sim.Factory, cfg sim.Conf
 			at = saveAt
 		}
 		if at < m.Position() {
-			fmt.Fprintf(stderr, "tcpsim: -save-at %d is before the current position %d\n",
+			return sim.Result{}, c.Exitf(2, "-save-at %d is before the current position %d",
 				at, m.Position())
-			return sim.Result{}, 2
 		}
 		m.RunTo(at)
 		img, err := m.Checkpoint()
 		if err != nil {
-			fmt.Fprintln(stderr, "tcpsim: checkpoint:", err)
-			return sim.Result{}, 1
+			return sim.Result{}, c.Exit(1, "checkpoint:", err)
 		}
 		if err := checkpoint.WriteFile(savePath, img); err != nil {
-			fmt.Fprintln(stderr, "tcpsim:", err)
-			return sim.Result{}, 1
+			return sim.Result{}, c.Exit(1, err)
 		}
-		fmt.Fprintf(stderr, "tcpsim: checkpoint (%d bytes) written to %s at instruction %d\n",
+		fmt.Fprintf(c.Stderr, "tcpsim: checkpoint (%d bytes) written to %s at instruction %d\n",
 			len(img), savePath, m.Position())
 	}
 	return m.Run(), 0

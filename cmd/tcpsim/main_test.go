@@ -1,73 +1,70 @@
 package main
 
 import (
-	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
-	"runtime"
+	"strings"
 	"testing"
+
+	"tagprefetch/internal/cli/clitest"
 )
 
-var update = flag.Bool("update", false, "rewrite the testdata goldens from the current code")
-
-// runCmd runs the command in-process and returns its exit code, stdout and
-// stderr.
-func runCmd(t *testing.T, args ...string) (int, string, string) {
-	t.Helper()
-	var stdout, stderr bytes.Buffer
-	code := run(args, &stdout, &stderr)
-	return code, stdout.String(), stderr.String()
-}
-
-// golden compares got with testdata/name, rewriting it under -update.
-func golden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to record)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s differs from the golden (got %d bytes, want %d):\n--- got\n%.4000s\n--- want\n%.4000s",
-			name, len(got), len(want), got, want)
-	}
-}
-
-// testHelp pins the -h text. -jobs defaults to GOMAXPROCS, so the width is
-// fixed while the usage is printed.
-func testHelp(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	code, stdout, stderr := runCmd(t, "-h")
-	if code != 0 || stdout != "" {
-		t.Fatalf("-h: exit %d, stdout %q", code, stdout)
-	}
-	golden(t, "help.golden", []byte(stderr))
-}
-
-func TestHelp(t *testing.T) { testHelp(t) }
+func TestHelp(t *testing.T) { clitest.Help(t, run) }
 
 // TestTableAndReport pins the results table and the -json report of one
 // small run.
 func TestTableAndReport(t *testing.T) {
 	report := filepath.Join(t.TempDir(), "run.json")
-	code, stdout, stderr := runCmd(t, "-bench", "mcf", "-pf", "tcp8k", "-n", "50000", "-json", report)
+	code, stdout, stderr := clitest.Run(run, "-bench", "mcf", "-pf", "tcp8k", "-n", "50000", "-json", report)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr)
 	}
-	golden(t, "mcf_tcp8k.txt", []byte(stdout))
+	clitest.Golden(t, "mcf_tcp8k.txt", []byte(stdout))
 	data, err := os.ReadFile(report)
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden(t, "mcf_tcp8k.json", data)
+	clitest.Golden(t, "mcf_tcp8k.json", data)
+}
+
+// TestRejectsBadFlags: a custom TCP whose -pht or -nbits the
+// simulator would round or clamp, and -progress without a sampler, are
+// usage errors instead of a mislabelled run or a crash.
+func TestRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-pf", "tcp", "-pht", "1000"}, "-pht 1000"},
+		{[]string{"-pf", "tcp", "-pht", "0"}, "-pht 0"},
+		{[]string{"-pf", "tcp", "-pht", "16"}, "-pht 16"},
+		{[]string{"-pf", "tcp", "-nbits", "40"}, "-nbits 40"},
+		{[]string{"-pf", "tcp", "-nbits", "-1"}, "-nbits -1"},
+		// 64 B is two sets: one index bit at most.
+		{[]string{"-pf", "tcp", "-pht", "64", "-nbits", "2"}, "-nbits 2"},
+		{[]string{"-pf", "nosuch"}, `unknown prefetcher "nosuch"`},
+		{[]string{"-bench", "gzip", "-n", "1000000", "-progress", "1", "-sample", "0"}, "-progress"},
+	} {
+		code, stdout, stderr := clitest.Run(run, tc.args...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, tc.want) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 naming %s",
+				tc.args, code, stdout, stderr, tc.want)
+		}
+	}
+}
+
+// TestAcceptsBoundaryFlags: the largest valid -nbits, a case-insensitive
+// -pf, and -json without a sampler all run.
+func TestAcceptsBoundaryFlags(t *testing.T) {
+	report := filepath.Join(t.TempDir(), "run.json")
+	for _, args := range [][]string{
+		{"-pf", "tcp", "-pht", "64", "-nbits", "1"},
+		{"-pf", "TCP8K"},
+		{"-json", report, "-sample", "0"},
+	} {
+		args = append(args, "-bench", "gzip", "-n", "20000")
+		if code, _, stderr := clitest.Run(run, args...); code != 0 {
+			t.Errorf("%v: exit %d: %s", args, code, stderr)
+		}
+	}
 }

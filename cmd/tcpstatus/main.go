@@ -17,14 +17,13 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"time"
 
+	"tagprefetch/internal/cli"
 	"tagprefetch/internal/experiment/distrib"
 	"tagprefetch/internal/fleetobs"
 )
@@ -32,8 +31,8 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("tcpstatus", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	c := cli.New("tcpstatus", stdout, stderr)
+	fs := c.Flags
 	var (
 		dir      = fs.String("dir", "", "shared checkpoint directory of the sweep (or pass it as the positional argument)")
 		jsonOut  = fs.Bool("json", false, "print the snapshot as indented JSON instead of tables")
@@ -42,11 +41,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		timeline = fs.Bool("timeline", false, "render the merged flight-recorder timeline instead of current status")
 		addr     = fs.String("status-addr", "", "serve /status, /events and /metrics on this address instead of printing")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
+	if code, ok := c.Parse(args); !ok {
+		return code
 	}
 	if *dir == "" && fs.NArg() == 1 {
 		*dir = fs.Arg(0)
@@ -62,8 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if modes > 1 {
-		fmt.Fprintln(stderr, "tcpstatus: -json, -watch, -timeline and -status-addr are mutually exclusive")
-		return 2
+		return c.Exit(2, "-json, -watch, -timeline and -status-addr are mutually exclusive")
 	}
 
 	// All timing flows through distrib.Clock: the one-shot paths call
@@ -75,27 +70,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case *timeline:
 		if err := fleetobs.WriteTimeline(stdout, *dir); err != nil {
-			fmt.Fprintln(stderr, "tcpstatus:", err)
-			return 1
+			return c.Exit(1, err)
 		}
 	case *addr != "":
 		srv := fleetobs.NewServer(*dir, clock, 0)
 		ln, err := net.Listen("tcp", *addr)
 		if err != nil {
-			fmt.Fprintln(stderr, "tcpstatus:", err)
-			return 1
+			return c.Exit(1, err)
 		}
 		fmt.Fprintf(stderr, "tcpstatus: fleet status on http://%s\n", ln.Addr())
 		if err := srv.Serve(ln); err != nil {
-			fmt.Fprintln(stderr, "tcpstatus:", err)
-			return 1
+			return c.Exit(1, err)
 		}
 	case *watch:
 		for {
 			snap, err := fleetobs.Scan(*dir, clock)
 			if err != nil {
-				fmt.Fprintln(stderr, "tcpstatus:", err)
-				return 1
+				return c.Exit(1, err)
 			}
 			// Clear the terminal and redraw in place.
 			fmt.Fprint(stdout, "\x1b[2J\x1b[H")
@@ -109,21 +100,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	default:
 		snap, err := fleetobs.Scan(*dir, clock)
 		if err != nil {
-			fmt.Fprintln(stderr, "tcpstatus:", err)
-			return 1
+			return c.Exit(1, err)
 		}
 		if *jsonOut {
 			enc := json.NewEncoder(stdout)
 			enc.SetIndent("", "  ")
 			if err := enc.Encode(snap); err != nil {
-				fmt.Fprintln(stderr, "tcpstatus:", err)
-				return 1
+				return c.Exit(1, err)
 			}
 			return 0
 		}
 		if err := fleetobs.Render(stdout, snap); err != nil {
-			fmt.Fprintln(stderr, "tcpstatus:", err)
-			return 1
+			return c.Exit(1, err)
 		}
 	}
 	return 0

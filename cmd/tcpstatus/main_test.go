@@ -1,57 +1,9 @@
 package main
 
 import (
-	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
-	"runtime"
 	"testing"
+
+	"tagprefetch/internal/cli/clitest"
 )
 
-var update = flag.Bool("update", false, "rewrite the testdata goldens from the current code")
-
-// runCmd runs the command in-process and returns its exit code, stdout and
-// stderr.
-func runCmd(t *testing.T, args ...string) (int, string, string) {
-	t.Helper()
-	var stdout, stderr bytes.Buffer
-	code := run(args, &stdout, &stderr)
-	return code, stdout.String(), stderr.String()
-}
-
-// golden compares got with testdata/name, rewriting it under -update.
-func golden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to record)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s differs from the golden (got %d bytes, want %d):\n--- got\n%.4000s\n--- want\n%.4000s",
-			name, len(got), len(want), got, want)
-	}
-}
-
-// testHelp pins the -h text. -jobs defaults to GOMAXPROCS, so the width is
-// fixed while the usage is printed.
-func testHelp(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	code, stdout, stderr := runCmd(t, "-h")
-	if code != 0 || stdout != "" {
-		t.Fatalf("-h: exit %d, stdout %q", code, stdout)
-	}
-	golden(t, "help.golden", []byte(stderr))
-}
-
-func TestHelp(t *testing.T) { testHelp(t) }
+func TestHelp(t *testing.T) { clitest.Help(t, run) }

@@ -1,74 +1,48 @@
 package main
 
 import (
-	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
-	"runtime"
+	"strings"
 	"testing"
+
+	"tagprefetch/internal/cli/clitest"
 )
 
-var update = flag.Bool("update", false, "rewrite the testdata goldens from the current code")
-
-// runCmd runs the command in-process and returns its exit code, stdout and
-// stderr.
-func runCmd(t *testing.T, args ...string) (int, string, string) {
-	t.Helper()
-	var stdout, stderr bytes.Buffer
-	code := run(args, &stdout, &stderr)
-	return code, stdout.String(), stderr.String()
-}
-
-// golden compares got with testdata/name, rewriting it under -update.
-func golden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to record)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s differs from the golden (got %d bytes, want %d):\n--- got\n%.4000s\n--- want\n%.4000s",
-			name, len(got), len(want), got, want)
-	}
-}
-
-// testHelp pins the -h text. -jobs defaults to GOMAXPROCS, so the width is
-// fixed while the usage is printed.
-func testHelp(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	code, stdout, stderr := runCmd(t, "-h")
-	if code != 0 || stdout != "" {
-		t.Fatalf("-h: exit %d, stdout %q", code, stdout)
-	}
-	golden(t, "help.golden", []byte(stderr))
-}
-
-func TestHelp(t *testing.T) { testHelp(t) }
+func TestHelp(t *testing.T) { clitest.Help(t, run) }
 
 // TestNbitsSweep pins the Figure 13 index-bits sweep's text and -json
 // report at a tiny scale.
 func TestNbitsSweep(t *testing.T) {
 	report := filepath.Join(t.TempDir(), "sweep.json")
-	code, stdout, stderr := runCmd(t, "-sweep", "nbits", "-benches", "swim",
+	code, stdout, stderr := clitest.Run(run, "-sweep", "nbits", "-benches", "swim",
 		"-n", "20000", "-warmup", "20000", "-jobs", "2", "-json", report)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr)
 	}
-	golden(t, "nbits.txt", []byte(stdout))
+	clitest.Golden(t, "nbits.txt", []byte(stdout))
 	data, err := os.ReadFile(report)
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden(t, "nbits.json", data)
+	clitest.Golden(t, "nbits.json", data)
+}
+
+// TestRejectsBadFlags: an unknown benchmark or sweep is a usage error
+// (exit 2) named on stderr, never a panic.
+func TestRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-benches", "nosuch"}, `unknown SPEC2000 benchmark "nosuch"`},
+		{[]string{"-benches", "swim,nosuch", "-sweep", "nbits"}, `unknown SPEC2000 benchmark "nosuch"`},
+		{[]string{"-sweep", "nosuch"}, `unknown sweep "nosuch"`},
+	} {
+		code, stdout, stderr := clitest.Run(run, tc.args...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, tc.want) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 naming %s",
+				tc.args, code, stdout, stderr, tc.want)
+		}
+	}
 }

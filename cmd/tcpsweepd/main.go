@@ -14,22 +14,21 @@
 package main
 
 import (
-	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"time"
 
+	"tagprefetch/internal/cli"
 	"tagprefetch/internal/sweepd"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("tcpsweepd", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	c := cli.New("tcpsweepd", stdout, stderr)
+	fs := c.Flags
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8344", "HTTP listen address")
 		root     = fs.String("root", "", "data directory; the result cache lives in <root>/ckpt-v<version> (required)")
@@ -39,24 +38,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxJobs  = fs.Int("max-jobs", 4096, "per-request job budget; larger grids are rejected with 400")
 		interval = fs.Duration("event-interval", 0, "/events poll cadence (0 selects the fleetobs default)")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
+	if code, ok := c.Parse(args); !ok {
+		return code
 	}
 
 	if *root == "" {
-		fmt.Fprintln(stderr, "tcpsweepd: -root is required")
-		return 2
+		return c.Exit(2, "-root is required")
 	}
 	if *workers <= 0 {
-		fmt.Fprintln(stderr, "tcpsweepd: -workers must be positive")
-		return 2
+		return c.Exit(2, "-workers must be positive")
 	}
 	if *leaseTTL <= 0 {
-		fmt.Fprintln(stderr, "tcpsweepd: -lease-ttl must be positive")
-		return 2
+		return c.Exit(2, "-lease-ttl must be positive")
 	}
 
 	srv, err := sweepd.New(sweepd.Config{
@@ -68,20 +61,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		EventInterval:   *interval,
 	})
 	if err != nil {
-		fmt.Fprintln(stderr, "tcpsweepd:", err)
-		return 1
+		return c.Exit(1, err)
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintln(stderr, "tcpsweepd:", err)
-		return 1
+		return c.Exit(1, err)
 	}
 	fmt.Fprintf(stderr, "tcpsweepd: serving on http://%s (cache %s, %d workers)\n",
 		ln.Addr(), srv.CacheDir(), *workers)
 	defer srv.Close()
 	if err := srv.Serve(ln); err != nil {
-		fmt.Fprintln(stderr, "tcpsweepd:", err)
-		return 1
+		return c.Exit(1, err)
 	}
 	return 0
 }

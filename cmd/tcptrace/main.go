@@ -7,55 +7,19 @@
 package main
 
 import (
-	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 
-	"tagprefetch/internal/addr"
-	"tagprefetch/internal/cpu"
+	"tagprefetch/internal/cli"
+	"tagprefetch/internal/experiment"
 	"tagprefetch/internal/memsys"
-	"tagprefetch/internal/prefetch"
 	"tagprefetch/internal/profiler"
-	"tagprefetch/internal/profiling"
-	"tagprefetch/internal/sim"
 	"tagprefetch/internal/stats"
 	"tagprefetch/internal/telemetry"
 	"tagprefetch/internal/trace"
 	"tagprefetch/internal/workload"
 )
-
-// capture is a prefetcher-shaped tap on the miss stream.
-type capture struct {
-	prof  *profiler.Profiler
-	w     *trace.Writer
-	armed bool
-	err   error // first write error; stops further dumping, reported after the run
-}
-
-func (c *capture) Name() string { return "capture" }
-
-func (c *capture) OnMiss(m trace.Miss) []prefetch.Request {
-	if !c.armed {
-		return nil
-	}
-	c.prof.Observe(m)
-	if c.w != nil && c.err == nil {
-		// A failing sink must not abort mid-simulation (an os.Exit here
-		// would also skip the deferred profile flush): remember the first
-		// error, stop writing, and report it when the run completes.
-		c.err = c.w.Write(m)
-	}
-	return nil
-}
-
-func (c *capture) OnAccess(addr.Addr, addr.Addr, int64, bool) []prefetch.Request { return nil }
-func (c *capture) OnEvict(addr.Addr, int64, int64, int64)                        {}
-func (c *capture) StorageBits() uint64                                           { return 0 }
-func (c *capture) Reset()                                                        {}
 
 // main delegates to run so that error exits unwind normally: os.Exit would
 // skip the deferred profile flush and trace-writer flush, truncating
@@ -63,43 +27,33 @@ func (c *capture) Reset()                                                       
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("tcptrace", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	c := cli.New("tcptrace", stdout, stderr)
 	var (
-		bench    = fs.String("bench", "", "SPEC2000 benchmark to trace")
-		n        = fs.Uint64("n", 1_000_000, "measured instructions")
-		warm     = fs.Uint64("warmup", 2_000_000, "warmup instructions")
-		fidelity = fs.String("warmup-fidelity", "full", "warmup engine: full (cycle-accurate) or fast (functional fast-forward, docs/FASTFORWARD.md)")
-		seed     = fs.Uint64("seed", 1, "workload seed")
-		out      = fs.String("o", "", "dump the raw miss trace to this file")
-		in       = fs.String("i", "", "analyse an existing trace file instead of simulating")
-
-		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = fs.String("memprofile", "", "write an allocation profile to this file")
-		statusAddr = fs.String("status-addr", "", "serve the live memory-hierarchy metric registry as Prometheus text on this address (/metrics) while tracing")
-		seqLen     = fs.Int("k", 3, "tag-sequence length (paper: 3)")
+		bench      = c.Flags.String("bench", "", "SPEC2000 benchmark to trace")
+		out        = c.Flags.String("o", "", "dump the raw miss trace to this file")
+		in         = c.Flags.String("i", "", "analyse an existing trace file instead of simulating")
+		statusAddr = c.Flags.String("status-addr", "", "serve the live memory-hierarchy metric registry as Prometheus text on this address (/metrics) while tracing")
+		seqLen     = c.Flags.Int("k", 3, "tag-sequence length (paper: 3)")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
+	rf := c.RunFlags(cli.RunSpec{Warmup: 2_000_000})
+	if code, ok := c.Parse(args); !ok {
+		return code
 	}
 
-	fid, err := sim.ParseFidelity(*fidelity)
+	cfg, err := rf.Config()
 	if err != nil {
-		fmt.Fprintln(stderr, "tcptrace: -warmup-fidelity:", err)
-		return 2
+		return c.Exit(2, err)
 	}
 	if *statusAddr != "" && *bench == "" {
-		fmt.Fprintln(stderr, "tcptrace: -status-addr requires -bench (only a live simulation has metrics to serve)")
-		return 2
+		return c.Exit(2, "-status-addr requires -bench (only a live simulation has metrics to serve)")
+	}
+	if *seqLen < 2 || *seqLen > profiler.MaxSeqLen {
+		return c.Exitf(2, "-k %d: want a tag-sequence length of 2..%d", *seqLen, profiler.MaxSeqLen)
 	}
 
-	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
+	stopProf, err := rf.Profile()
 	if err != nil {
-		fmt.Fprintln(stderr, "tcptrace:", err)
-		return 1
+		return c.Exit(1, err)
 	}
 	defer stopProf()
 
@@ -110,8 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *in != "":
 		f, err := os.Open(*in)
 		if err != nil {
-			fmt.Fprintln(stderr, "tcptrace:", err)
-			return 1
+			return c.Exit(1, err)
 		}
 		defer f.Close()
 		r := trace.NewReader(f, memCfg.L1D)
@@ -121,73 +74,59 @@ func run(args []string, stdout, stderr io.Writer) int {
 				break
 			}
 			if err != nil {
-				fmt.Fprintln(stderr, "tcptrace:", err)
-				return 1
+				return c.Exit(1, err)
 			}
 			prof.Observe(m)
 		}
 	case *bench != "":
-		spec, err := workload.Spec2000(*bench)
-		if err != nil {
-			fmt.Fprintln(stderr, "tcptrace:", err)
-			return 1
+		if _, err := workload.Spec2000(*bench); err != nil {
+			return c.Exit(1, err)
 		}
-		cap := &capture{prof: prof, armed: *warm == 0}
+		observe := prof.Observe
+		var w *trace.Writer
+		var werr error // first write error; stops further dumping, reported after the run
 		if *out != "" {
 			f, err := os.Create(*out)
 			if err != nil {
-				fmt.Fprintln(stderr, "tcptrace:", err)
-				return 1
+				return c.Exit(1, err)
 			}
 			defer f.Close()
-			cap.w = trace.NewWriter(f)
-			defer cap.w.Flush() //nolint:errcheck
-		}
-		mem := memsys.New(memCfg, cap)
-		// A scrape snapshots the hierarchy's registry live; between scrapes
-		// the simulation pays nothing.
-		if *statusAddr != "" {
-			reg := telemetry.NewRegistry()
-			mem.AttachTelemetry(reg.Sub("memsys"), telemetry.Nop())
-			ln, err := net.Listen("tcp", *statusAddr)
-			if err != nil {
-				fmt.Fprintln(stderr, "tcptrace:", err)
-				return 1
+			w = trace.NewWriter(f)
+			defer w.Flush() //nolint:errcheck
+			// A failing sink must not abort mid-simulation (an os.Exit here
+			// would also skip the deferred profile flush): remember the
+			// first error, stop writing, and report it when the run ends.
+			observe = func(m trace.Miss) {
+				prof.Observe(m)
+				if werr == nil {
+					werr = w.Write(m)
+				}
 			}
-			mux := http.NewServeMux()
-			mux.Handle("/metrics", telemetry.PromHandler(func() []telemetry.PromSet {
-				return []telemetry.PromSet{telemetry.PromFromRegistry(reg,
+		}
+		tap := experiment.MissTap{Warmup: rf.Warmup, Instructions: rf.Instructions,
+			Seed: rf.Seed, Fidelity: cfg.WarmupFidelity}
+		if *statusAddr != "" {
+			tap.Registry = telemetry.NewRegistry()
+			stop, err := c.ServeMetrics(*statusAddr, func() []telemetry.PromSet {
+				return []telemetry.PromSet{telemetry.PromFromRegistry(tap.Registry,
 					telemetry.PromLabel{Name: "bench", Value: *bench})}
-			}))
-			fmt.Fprintf(stderr, "tcptrace: metrics on http://%s/metrics\n", ln.Addr())
-			srv := &http.Server{Handler: mux}
-			go srv.Serve(ln) //nolint:errcheck // listener failure only loses the metrics view
-			defer srv.Close()
+			})
+			if err != nil {
+				return c.Exit(1, err)
+			}
+			defer stop()
 		}
-		core := cpu.New(cpu.Config{}, mem)
-		gen := workload.New(spec, *seed)
-		// Arm the capture tap at the warmup/measure boundary. The capture
-		// prefetcher keeps memsys off its no-prefetcher elision path, so
-		// every OnMiss fires.
-		arm := func(int64) { cap.armed = true }
-		if fid == sim.FidelityFast {
-			// The warmup misses only train the profiler's armed==false tap,
-			// so the functional engine reproduces the measured trace exactly
-			// (docs/FASTFORWARD.md).
-			core.RunMeasuredFast(gen, *warm, *n, arm)
-		} else {
-			core.RunMeasured(gen, *warm, *n, arm)
+		if err := tap.Run(*bench, observe); err != nil {
+			return c.Exit(1, err)
 		}
-		if cap.err != nil {
-			fmt.Fprintln(stderr, "tcptrace: write:", cap.err)
-			return 1
+		if werr != nil {
+			return c.Exit(1, "write:", werr)
 		}
-		if cap.w != nil {
-			fmt.Fprintf(stderr, "tcptrace: wrote %d miss records to %s\n", cap.w.Count(), *out)
+		if w != nil {
+			fmt.Fprintf(stderr, "tcptrace: wrote %d miss records to %s\n", w.Count(), *out)
 		}
 	default:
-		fmt.Fprintln(stderr, "tcptrace: need -bench or -i; -h for help")
-		return 2
+		return c.Exit(2, "need -bench or -i; -h for help")
 	}
 
 	s := prof.Summarize()

@@ -1,81 +1,48 @@
 package main
 
 import (
-	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
-	"runtime"
+	"strings"
 	"testing"
+
+	"tagprefetch/internal/cli/clitest"
 )
 
-var update = flag.Bool("update", false, "rewrite the testdata goldens from the current code")
-
-// runCmd runs the command in-process and returns its exit code, stdout and
-// stderr.
-func runCmd(t *testing.T, args ...string) (int, string, string) {
-	t.Helper()
-	var stdout, stderr bytes.Buffer
-	code := run(args, &stdout, &stderr)
-	return code, stdout.String(), stderr.String()
-}
-
-// golden compares got with testdata/name, rewriting it under -update.
-func golden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to record)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s differs from the golden (got %d bytes, want %d):\n--- got\n%.4000s\n--- want\n%.4000s",
-			name, len(got), len(want), got, want)
-	}
-}
-
-// testHelp pins the -h text. -jobs defaults to GOMAXPROCS, so the width is
-// fixed while the usage is printed.
-func testHelp(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	code, stdout, stderr := runCmd(t, "-h")
-	if code != 0 || stdout != "" {
-		t.Fatalf("-h: exit %d, stdout %q", code, stdout)
-	}
-	golden(t, "help.golden", []byte(stderr))
-}
-
-func TestHelp(t *testing.T) { testHelp(t) }
+func TestHelp(t *testing.T) { clitest.Help(t, run) }
 
 // TestSummaryAndTrace pins the locality summary and the dumped miss trace,
 // and re-analysing the dump must print the same summary.
 func TestSummaryAndTrace(t *testing.T) {
 	trc := filepath.Join(t.TempDir(), "swim.trc")
-	code, stdout, stderr := runCmd(t, "-bench", "swim", "-n", "20000", "-warmup", "20000", "-o", trc)
+	code, stdout, stderr := clitest.Run(run, "-bench", "swim", "-n", "20000", "-warmup", "20000", "-o", trc)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr)
 	}
-	golden(t, "swim_summary.txt", []byte(stdout))
+	clitest.Golden(t, "swim_summary.txt", []byte(stdout))
 	data, err := os.ReadFile(trc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden(t, "swim.trc", data)
+	clitest.Golden(t, "swim.trc", data)
 
-	code, again, stderr := runCmd(t, "-i", trc)
+	code, again, stderr := clitest.Run(run, "-i", trc)
 	if code != 0 {
 		t.Fatalf("-i: exit %d: %s", code, stderr)
 	}
 	if again != stdout {
 		t.Errorf("-i summary differs from the live one:\n%s\nvs\n%s", again, stdout)
+	}
+}
+
+// TestRejectsBadSeqLen: the profiler supports tag sequences of 2 to
+// profiler.MaxSeqLen; anything else is a usage error rather than a clamped
+// run whose summary names the wrong length.
+func TestRejectsBadSeqLen(t *testing.T) {
+	for _, k := range []string{"0", "1", "5"} {
+		code, stdout, stderr := clitest.Run(run, "-bench", "swim", "-k", k)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "-k "+k) {
+			t.Errorf("-k %s: exit %d, stdout %q, stderr %q; want exit 2", k, code, stdout, stderr)
+		}
 	}
 }

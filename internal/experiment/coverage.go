@@ -3,52 +3,22 @@ package experiment
 import (
 	"fmt"
 
-	"tagprefetch/internal/addr"
 	"tagprefetch/internal/coverage"
-	"tagprefetch/internal/cpu"
 	"tagprefetch/internal/memsys"
-	"tagprefetch/internal/prefetch"
 	"tagprefetch/internal/sim"
 	"tagprefetch/internal/stats"
 	"tagprefetch/internal/trace"
-	"tagprefetch/internal/workload"
 )
-
-// missTap records the measured-window miss stream for offline replay.
-type missTap struct {
-	buf   *trace.Buffer
-	armed bool
-}
-
-func (t *missTap) Name() string { return "misstap" }
-
-func (t *missTap) OnMiss(m trace.Miss) []prefetch.Request {
-	if t.armed {
-		t.buf.Record(m)
-	}
-	return nil
-}
-
-func (t *missTap) OnAccess(addr.Addr, addr.Addr, int64, bool) []prefetch.Request { return nil }
-func (t *missTap) OnEvict(addr.Addr, int64, int64, int64)                        {}
-func (t *missTap) StorageBits() uint64                                           { return 0 }
-func (t *missTap) Reset()                                                        {}
 
 // CaptureMisses runs one benchmark without prefetching and returns its
 // measured-window L1 miss stream (capped at capRecords; 0 = unbounded).
 func CaptureMisses(bench string, o Options, capRecords int) ([]trace.Miss, error) {
 	o = o.withDefaults()
-	spec, err := workload.Spec2000(bench)
-	if err != nil {
+	buf := trace.NewBuffer(capRecords)
+	if err := (MissTap{Warmup: o.Warmup, Instructions: o.Instructions, Seed: o.Seed}).Run(bench, buf.Record); err != nil {
 		return nil, err
 	}
-	memCfg := memsys.DefaultConfig()
-	tap := &missTap{buf: trace.NewBuffer(capRecords), armed: o.Warmup == 0}
-	mem := memsys.New(memCfg, tap)
-	core := cpu.New(cpu.Config{}, mem)
-	core.RunMeasured(workload.New(spec, o.Seed), o.Warmup, o.Instructions,
-		func(int64) { tap.armed = true })
-	return tap.buf.Misses, nil
+	return buf.Misses, nil
 }
 
 // CoverageComparison replays each benchmark's captured miss stream through

@@ -7,6 +7,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 
 	"tagprefetch/internal/addr"
 	"tagprefetch/internal/cache"
@@ -251,6 +252,32 @@ func NextLine() Factory {
 	return Factory{Name: "nextline", Build: func(l1 addr.Geometry) (prefetch.Prefetcher, bool) {
 		return prefetch.NewNextLine(l1, 1), false
 	}}
+}
+
+// named is the one table of named prefetcher configurations; "dbcp" is an
+// alias of "dbcp2m".
+var named = map[string]func() Factory{
+	"none":     NoPrefetch,
+	"tcp8k":    TCP8K,
+	"tcp8m":    TCP8M,
+	"hybrid8k": Hybrid8K,
+	"dbcp2m":   DBCP2M,
+	"dbcp":     DBCP2M,
+	"stride":   Stride,
+	"stream":   StreamBuffers,
+	"markov":   Markov,
+	"ghb":      GHB,
+	"nextline": NextLine,
+}
+
+// Named resolves a prefetcher configuration name, ignoring case: none,
+// tcp8k, tcp8m, hybrid8k, dbcp2m (or dbcp), stride, stream, markov, ghb or
+// nextline. Unknown names return an error.
+func Named(name string) (Factory, error) {
+	if f, ok := named[strings.ToLower(name)]; ok {
+		return f(), nil
+	}
+	return Factory{}, fmt.Errorf("unknown prefetcher %q", name)
 }
 
 // Custom wraps an explicit TCP configuration.

@@ -3,7 +3,6 @@ package sweepd_test
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,11 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"tagprefetch/internal/cli/clitest"
 	"tagprefetch/internal/experiment"
 	"tagprefetch/internal/sweepd"
 )
-
-var update = flag.Bool("update", false, "rewrite the testdata goldens from the current code")
 
 const (
 	e2eInstr  = 20_000
@@ -149,19 +147,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 	// The body is pinned byte for byte too, so a rendering change cannot
 	// move the daemon and the serial reference together unnoticed.
-	golden := filepath.Join("testdata", "nbits_result.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, daemonBody, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	} else if pinned, err := os.ReadFile(golden); err != nil {
-		t.Errorf("%v (run with -update to record)", err)
-	} else if !bytes.Equal(daemonBody, pinned) {
-		t.Errorf("daemon result differs from %s:\ndaemon: %q\ngolden: %q", golden, daemonBody, pinned)
-	}
+	clitest.Golden(t, "nbits_result.golden", daemonBody)
 
 	// Property 2: an identical grid from a second tenant is served
 	// entirely from the cache — done at admission, zero new manifests,

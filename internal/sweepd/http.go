@@ -17,8 +17,9 @@ import (
 // the tcpsweep default, so the JSON `{"sweep":"size"}` and the CLI
 // `tcpsweep -sweep size` describe the same grid.
 type Request struct {
-	// Sweep names the grid (catalog: the tcpsweep -sweep values, minus
-	// branchpred — see catalog.go).
+	// Sweep names the grid: an experiment.Sweeps name, as tcpsweep -sweep
+	// takes. branchpred is named there but rejected at planning, because
+	// its grid points are not content-addressable.
 	Sweep string `json:"sweep"`
 	// Benches restricts the benchmark set (default: all 26, paper order).
 	// Order matters: it shapes the rendered result body.
@@ -124,9 +125,9 @@ func writeError(w http.ResponseWriter, code int, err error) {
 // normalize validates a request and fills defaults in place. The returned
 // error is always a *RequestError.
 func normalize(req *Request, headerTenant string) error {
-	if _, ok := catalog[req.Sweep]; !ok {
+	if _, ok := experiment.SweepNamed(req.Sweep); !ok {
 		return &RequestError{Field: "sweep",
-			Reason: fmt.Sprintf("unknown sweep %q (want %s)", req.Sweep, catalogNames())}
+			Reason: fmt.Sprintf("unknown sweep %q (want %s)", req.Sweep, experiment.SweepNames())}
 	}
 	if req.Instructions == 0 {
 		req.Instructions = 1_000_000

@@ -370,11 +370,11 @@ func options(req Request, r *experiment.Runner) experiment.Options {
 // from what execution or gather would do. Returns the jobs and their
 // parallel content addresses.
 func planJobs(req Request) ([]experiment.Job, []string, error) {
-	def := catalog[req.Sweep]
+	sweep, _ := experiment.SweepNamed(req.Sweep) // validated at admission
 	r := experiment.NewRunner(1)
 	var all []experiment.Job
 	r.SetPlan(func(j experiment.Job) { all = append(all, j) })
-	def.run(options(req, r), discardWriter{})
+	sweep.Run(options(req, r))
 	seen := make(map[string]bool, len(all))
 	var jobs []experiment.Job
 	var names []string
@@ -393,11 +393,6 @@ func planJobs(req Request) ([]experiment.Job, []string, error) {
 	}
 	return jobs, names, nil
 }
-
-// discardWriter is io.Discard without importing io here.
-type discardWriter struct{}
-
-func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // render gathers a completed sweep's result from the manifest store into
 // the exact bytes `tcpsweep -sweep <name> -gather` would print: the sweep
@@ -418,8 +413,9 @@ func (s *Server) render(sw *sweepRec) (out []byte, err error) {
 	r := experiment.NewRunner(1)
 	r.SetResultStore(s.store)
 	r.SetStrictGather(true)
+	sweep, _ := experiment.SweepNamed(sw.req.Sweep) // validated at admission
 	var buf bytes.Buffer
-	catalog[sw.req.Sweep].run(options(sw.req, r), &buf)
+	sweep.Run(options(sw.req, r)).Write(&buf, false) //nolint:errcheck // bytes.Buffer
 	return buf.Bytes(), nil
 }
 

@@ -275,7 +275,7 @@ func TestJobBudget(t *testing.T) {
 }
 
 // TestInvalidRequests: every malformed request is a 400 naming the field;
-// branchpred is absent from the catalog because its grid points carry live
+// branchpred is rejected at planning because its grid points carry live
 // predictor state and cannot be content-addressed.
 func TestInvalidRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1}, nil)

@@ -48,32 +48,17 @@ const (
 	GHB      Prefetcher = "ghb"      // Nesbit-Smith global history buffer (PC/DC)
 )
 
-// Factory resolves a Prefetcher name to its simulator factory.
-// Unknown names return an error.
+// Factory resolves a Prefetcher name (case-insensitive; "" means None) to
+// its simulator factory. Unknown names return an error.
 func (p Prefetcher) Factory() (sim.Factory, error) {
-	switch p {
-	case None, "":
-		return sim.NoPrefetch(), nil
-	case TCP8K:
-		return sim.TCP8K(), nil
-	case TCP8M:
-		return sim.TCP8M(), nil
-	case Hybrid8K:
-		return sim.Hybrid8K(), nil
-	case DBCP2M:
-		return sim.DBCP2M(), nil
-	case Stride:
-		return sim.Stride(), nil
-	case Stream:
-		return sim.StreamBuffers(), nil
-	case Markov:
-		return sim.Markov(), nil
-	case NextLine:
-		return sim.NextLine(), nil
-	case GHB:
-		return sim.GHB(), nil
+	if p == "" {
+		p = None
 	}
-	return sim.Factory{}, fmt.Errorf("tagprefetch: unknown prefetcher %q", string(p))
+	f, err := sim.Named(string(p))
+	if err != nil {
+		return sim.Factory{}, fmt.Errorf("tagprefetch: %w", err)
+	}
+	return f, nil
 }
 
 // RunConfig controls one simulation. The zero value uses the paper's
