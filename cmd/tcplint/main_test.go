@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"tagprefetch/internal/analysis/hotalloc"
+	"tagprefetch/internal/cli/clitest"
 )
 
 // runLint invokes the driver with args and returns its exit code and
@@ -264,4 +265,13 @@ func TestJSONOutput(t *testing.T) {
 	if len(doc.Findings) == 0 || doc.Findings[0].Analyzer != "hotalloc" || doc.Findings[0].File != "p.go" {
 		t.Errorf("unexpected findings: %+v", doc.Findings)
 	}
+}
+
+// TestHelp pins the -h text, as every cmd's is pinned.
+func TestHelp(t *testing.T) {
+	code, out := runLint(t, "-h")
+	if code != 2 {
+		t.Errorf("-h: exit %d, want 2", code)
+	}
+	clitest.Golden(t, "help.golden", []byte(out))
 }
