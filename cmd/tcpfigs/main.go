@@ -36,7 +36,7 @@ var allIDs = []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	c := cli.New("tcpfigs", stdout, stderr)
+	c := cli.New("tcpfigs", stderr)
 	exp := c.Flags.String("exp", "all", "experiment id (table1, fig1..fig7, fig11..fig15, ablations, all)")
 	asCSV := c.Flags.Bool("csv", false, "emit table experiments as CSV instead of aligned text")
 	reportIn := c.Flags.String("report", "", "render a telemetry report (from tcpsim/tcpsweep -json) instead of running experiments")

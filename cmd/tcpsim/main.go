@@ -56,7 +56,7 @@ func factory(name string, phtBytes, nbits int, l1 addr.Geometry) (sim.Factory, e
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	c := cli.New("tcpsim", stdout, stderr)
+	c := cli.New("tcpsim", stderr)
 	fs := c.Flags
 	var (
 		bench  = fs.String("bench", "all", "SPEC2000 benchmark name, or 'all'")

@@ -31,7 +31,7 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	c := cli.New("tcpstatus", stdout, stderr)
+	c := cli.New("tcpstatus", stderr)
 	fs := c.Flags
 	var (
 		dir      = fs.String("dir", "", "shared checkpoint directory of the sweep (or pass it as the positional argument)")

@@ -33,7 +33,7 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	c := cli.New("tcpsweep", stdout, stderr)
+	c := cli.New("tcpsweep", stderr)
 	sweep := c.Flags.String("sweep", "size", "sweep: "+experiment.SweepNames())
 	jsonOut := c.Flags.String("json", "", "write the sweep's curves and tables as a machine-readable report to this file")
 	g := c.GridFlags("sweep", "the sweep runs")

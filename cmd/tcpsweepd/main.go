@@ -27,7 +27,7 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	c := cli.New("tcpsweepd", stdout, stderr)
+	c := cli.New("tcpsweepd", stderr)
 	fs := c.Flags
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8344", "HTTP listen address")

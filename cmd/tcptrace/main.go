@@ -27,7 +27,7 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	c := cli.New("tcptrace", stdout, stderr)
+	c := cli.New("tcptrace", stderr)
 	var (
 		bench      = c.Flags.String("bench", "", "SPEC2000 benchmark to trace")
 		out        = c.Flags.String("o", "", "dump the raw miss trace to this file")

@@ -23,18 +23,18 @@ import (
 	"tagprefetch/internal/telemetry"
 )
 
-// Cmd is one command invocation: its name, flag set and output streams.
+// Cmd is one command invocation: its name, flag set and diagnostic stream.
 type Cmd struct {
-	Name           string
-	Flags          *flag.FlagSet
-	Stdout, Stderr io.Writer
+	Name   string
+	Flags  *flag.FlagSet
+	Stderr io.Writer
 }
 
-// New starts a command named name that writes to stdout and stderr.
-func New(name string, stdout, stderr io.Writer) *Cmd {
+// New starts a command named name whose usage and errors go to stderr.
+func New(name string, stderr io.Writer) *Cmd {
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	return &Cmd{Name: name, Flags: fs, Stdout: stdout, Stderr: stderr}
+	return &Cmd{Name: name, Flags: fs, Stderr: stderr}
 }
 
 // Parse parses args. When ok is false the command exits with code: 0 after

@@ -11,8 +11,8 @@ import (
 // exit status Fail would give (0 on success) and stderr.
 func setup(t *testing.T, args ...string) (int, string) {
 	t.Helper()
-	var stdout, stderr bytes.Buffer
-	c := New("tcpsweep", &stdout, &stderr)
+	var stderr bytes.Buffer
+	c := New("tcpsweep", &stderr)
 	g := c.GridFlags("sweep", "the sweep runs")
 	if code, ok := c.Parse(args); !ok {
 		t.Fatalf("%v: parse exit %d: %s", args, code, stderr.String())
